@@ -12,27 +12,39 @@
 //! ## The resumable Trainer
 //!
 //! [`Trainer`] runs training as a sequence of **segments**: `run_steps(n)`
-//! executes `n` micro-steps (whole gradient-accumulation windows) on a
-//! fresh thread-device world and commits the resulting state — flat
-//! parameters, flat optimizer moments, the data-RNG words, losses, and
-//! accumulated traffic counters — back to the host between segments.
-//! Because the durable state lives host-side in a world-independent
-//! layout, three properties fall out:
+//! executes `n` micro-steps (whole gradient-accumulation windows). Each
+//! rank's state — its model replica, its optimizer (the rank's ZeRO-1
+//! moment slice, or the dense moments) and its data stream — stays
+//! **resident** in the `Trainer` between segments: a segment lends every
+//! replica to its rank thread on a fresh comm group and executor, and
+//! takes it back updated. The host pool dies with the segment, and
+//! traffic counters merge per segment. The world-independent flat layout
+//! (flat parameters and moments, optimizer step, data-RNG words) is a
+//! derived view, built only where it is needed: by [`Trainer::checkpoint`],
+//! [`Trainer::resize`] and [`Trainer::resume`]. Three properties follow:
 //!
 //! * **Bitwise resume.** Segment boundaries are exact: running
 //!   `run_steps(k)` + `checkpoint` + [`Trainer::resume`] + the remaining
 //!   steps produces the identical losses, gradients, and traffic counters
-//!   as one uninterrupted run (the resume determinism suite asserts it).
-//! * **Elastic worlds.** [`Trainer::resize`] just changes the geometry of
-//!   the *next* segment; parameters and moments re-shard automatically
-//!   because they are stored flat. After the resize point the trajectory
-//!   matches a fresh run at the final geometry.
+//!   as one uninterrupted run (the resume determinism suite asserts it),
+//!   and so do `n` calls of `run_steps(1)` (the segmentation suite).
+//! * **Elastic worlds.** [`Trainer::resize`] flattens the replicas and
+//!   re-cuts them for the new world; ZeRO-1 moment slices re-shard
+//!   exactly. After the resize point the trajectory matches a fresh run
+//!   at the final geometry.
 //! * **Rollback, not poison.** A collective that fails mid-step (after
 //!   the [`RuntimeOptions::comm_retries`] replay budget is exhausted)
 //!   aborts the segment at the last completed optimizer window: the data
-//!   RNG rewinds, gradients are zeroed, and the host pool dies with the
+//!   RNG rewinds, gradients are zeroed, a ZeRO-1 update whose parameter
+//!   all-gather failed is discarded, and the host pool dies with the
 //!   segment's executor. `run_steps` returns a typed [`TrainError`]; the
 //!   caller may simply call it again.
+//!
+//! A rank **panic** is not a recoverable failure: it propagates out of
+//! `run_steps` and drops the replicas with the unwinding segment, so the
+//! session can never continue from partially updated state. Any later
+//! `run_steps`, `checkpoint` or `resize` on that `Trainer` panics; the
+//! session is rebuilt with [`Trainer::resume`] from its last checkpoint.
 
 use crate::chunk::ChunkPlan;
 use crate::offload::PoolStats;
@@ -47,7 +59,7 @@ use fpdt_tensor::nn::{AdamW, AdamWConfig};
 use fpdt_trace::Recorder;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which training mode to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,37 +292,109 @@ fn exec_error(e: Box<dyn std::error::Error + Send + Sync>) -> TrainError {
 // Segment machinery
 // ---------------------------------------------------------------------------
 
-/// Host-side state handed to a segment: everything a rank needs to rebuild
-/// its replica exactly where the previous segment stopped.
-struct SegmentIn {
-    /// Flat parameters ([`GptModel::for_each_param`] order).
-    params: Vec<f32>,
-    /// Flat first moments, same order and length as `params`.
-    m: Vec<f32>,
-    /// Flat second moments.
-    v: Vec<f32>,
-    /// Optimizer step counter (bias correction).
-    opt_step: u64,
-    /// Data-stream RNG words.
-    rng: [u64; 4],
-    /// Micro-steps completed before this segment (drives warmup).
-    base_step: usize,
-    /// Micro-steps to run (a multiple of `grad_accum`).
-    steps: usize,
+/// One rank's resident training state, held by the [`Trainer`] between
+/// segments and lent to the rank's thread for the length of one.
+#[derive(Debug)]
+struct Replica {
+    /// The rank's model replica (the same parameters on every rank).
+    model: GptModel,
+    /// Adam state: this rank's ZeRO-1 slice of the flat moments under id
+    /// 0, or the dense per-tensor moments keyed by visit order.
+    opt: AdamW,
+    /// The data stream (every rank samples the global sequence).
+    corpus: Corpus,
 }
 
-/// One rank's segment result. All replicated fields (params, losses, rng)
-/// are identical across ranks by construction; moment vectors are this
-/// rank's ZeRO slice (or the full vector when dense).
-struct RankOut {
+/// Ranks, and so resident replicas, a configuration runs on.
+fn ranks(cfg: &TrainConfig) -> usize {
+    if matches!(cfg.mode, Mode::Single) {
+        1
+    } else {
+        cfg.world
+    }
+}
+
+/// Whether the optimizer state is ZeRO-1 sharded (it needs two ranks).
+fn zero_sharded(cfg: &TrainConfig) -> bool {
+    cfg.zero_shard && ranks(cfg) > 1
+}
+
+/// Rank `rank`'s contiguous slice of an `n`-element flat vector. The same
+/// integer division at every world, so the slices concatenate exactly.
+fn shard_bounds(n: usize, rank: usize, world: usize) -> (usize, usize) {
+    (rank * n / world, (rank + 1) * n / world)
+}
+
+/// Builds one replica per rank of `cfg` from the world-independent flat
+/// view: `model` (cloned to every rank), the optimizer step and flat
+/// moments `m`/`v`, and the data-RNG words.
+fn build_replicas(
+    cfg: &TrainConfig,
+    model: GptModel,
+    opt_step: u64,
+    m: &[f32],
+    v: &[f32],
+    rng: [u64; 4],
+) -> Vec<Replica> {
+    let world = ranks(cfg);
+    let zero = zero_sharded(cfg);
+    let mut lens = Vec::new();
+    model.visit_params(|p| lens.push(p.numel()));
+    vec![model; world]
+        .into_iter()
+        .enumerate()
+        .map(|(rank, model)| {
+            let entries = if zero {
+                let (lo, hi) = shard_bounds(m.len(), rank, world);
+                vec![(0, m[lo..hi].to_vec(), v[lo..hi].to_vec())]
+            } else {
+                let mut off = 0usize;
+                (0u64..)
+                    .zip(&lens)
+                    .map(|(id, &len)| {
+                        off += len;
+                        (id, m[off - len..off].to_vec(), v[off - len..off].to_vec())
+                    })
+                    .collect()
+            };
+            let mut opt = AdamW::new(AdamWConfig {
+                lr: cfg.lr,
+                ..Default::default()
+            });
+            opt.import_state(opt_step, entries);
+            let mut corpus = Corpus::new(cfg.model.vocab, 0.05, cfg.seed ^ 0x5eed);
+            corpus.set_rng_state(rng);
+            Replica { model, opt, corpus }
+        })
+        .collect()
+}
+
+/// Elements `lo..hi` of the flat moment vectors: every rank's ZeRO-1
+/// slice concatenated in rank order, or rank 0's dense per-tensor moments
+/// in visit order.
+fn moments_range(replicas: &[Replica], zero: bool, lo: usize, hi: usize) -> (Vec<f32>, Vec<f32>) {
+    let owners = if zero { replicas } else { &replicas[..1] };
+    let (mut m, mut v) = (Vec::with_capacity(hi - lo), Vec::with_capacity(hi - lo));
+    let mut off = 0usize;
+    for r in owners {
+        // both layouts register ids 0, 1, 2, ... with no gaps
+        for (pm, pv) in (0..).map_while(|id| r.opt.moments(id)) {
+            let (a, b) = (lo.max(off), hi.min(off + pm.len()));
+            if a < b {
+                m.extend_from_slice(&pm[a - off..b - off]);
+                v.extend_from_slice(&pv[a - off..b - off]);
+            }
+            off += pm.len();
+        }
+    }
+    (m, v)
+}
+
+/// Rank 0's segment result. Losses, gradients and step counts are
+/// identical across ranks by construction.
+struct SegmentOut {
     steps: usize,
     losses: Vec<f32>,
-    params: Vec<f32>,
-    m: Vec<f32>,
-    v: Vec<f32>,
-    opt_step: u64,
-    opt_bytes: usize,
-    rng: [u64; 4],
     grads: Vec<f32>,
     host: PoolStats,
     comm: CommStats,
@@ -338,208 +422,186 @@ fn retrying_traced<T>(
     .map_err(TrainError::Comm)
 }
 
-/// One rank's place in the segment geometry: its index, the rank count,
-/// and the sequence shard plan (None when the whole sequence is local).
-struct RankCtx<'a> {
-    rank: usize,
-    world: usize,
-    plan: Option<&'a ChunkPlan>,
+/// ZeRO-1 optimizer step: update this rank's slice of the flat parameters
+/// with its moment shard, then all-gather every rank's slice. The
+/// optimizer commits (step counter and moments) only once the gather has
+/// succeeded, so a failed window leaves it untouched and the window's
+/// retry applies Adam exactly once.
+fn zero_step(
+    comm: &Communicator,
+    retries: usize,
+    recorder: Option<&Recorder>,
+    model: &mut GptModel,
+    opt: &mut AdamW,
+    reduced: &[f32],
+    scale: f32,
+) -> Result<(), TrainError> {
+    let (lo, hi) = shard_bounds(reduced.len(), comm.rank(), comm.world());
+    let mut shard = model.params_range(lo, hi);
+    let gshard: Vec<f32> = reduced[lo..hi].iter().map(|g| g * scale).collect();
+    opt.stage(0, &mut shard, &gshard);
+    let shards = retrying_traced(comm, retries, recorder, |c| c.all_gather(&shard))?;
+    opt.commit(0, &gshard);
+    let mut off = 0;
+    for s in &shards {
+        model.set_params_range(off, s);
+        off += s.len();
+    }
+    assert_eq!(off, reduced.len(), "gathered slices cover every parameter");
+    Ok(())
 }
 
-/// Runs one rank's share of a segment: rebuild the replica from the
-/// host-side state, run whole accumulation windows, and on a failed window
-/// roll back to the last step boundary (rewind the data RNG, zero the
-/// gradients) instead of committing partial state.
+/// One rank's share of a segment: its index, its sequence shard plan
+/// (None when the whole sequence is local), the micro-steps completed
+/// before the segment (they drive warmup) and the micro-steps to run.
+struct RankCtx<'a> {
+    rank: usize,
+    plan: Option<&'a ChunkPlan>,
+    base_step: usize,
+    steps: usize,
+}
+
+/// Runs one rank's share of a segment on its resident replica: whole
+/// accumulation windows, and on a failed window a roll back to the last
+/// step boundary (rewind the data RNG, zero the gradients) instead of
+/// keeping partial state.
 fn run_rank_segment(
     cfg: &TrainConfig,
     ctx: &RankCtx<'_>,
     exec: &mut dyn AttentionExec,
     recorder: Option<&Recorder>,
-    seg: &SegmentIn,
+    replica: &mut Replica,
     mut sync_and_step: impl FnMut(
         &mut GptModel,
         &mut AdamW,
         f32,
         usize,
     ) -> Result<(f32, usize, Vec<f32>), TrainError>,
-) -> RankOut {
-    let RankCtx { rank, world, plan } = *ctx;
-    let mut model = GptModel::new(&cfg.model, cfg.seed);
-    if let Some(rec) = recorder {
-        model = model.with_recorder(rec.clone());
-    }
-    model.set_params(&seg.params);
-    let mut opt = AdamW::new(AdamWConfig {
-        lr: cfg.lr,
-        ..Default::default()
-    });
-    let n = seg.params.len();
-    let zero = cfg.zero_shard && world > 1;
-    if zero {
-        // ZeRO-1: this rank owns one contiguous slice of the flat moment
-        // vectors, stored under the single parameter id 0.
-        let (lo, hi) = (rank * n / world, (rank + 1) * n / world);
-        opt.import_state(
-            seg.opt_step,
-            vec![(0, seg.m[lo..hi].to_vec(), seg.v[lo..hi].to_vec())],
-        );
-    } else {
-        // Dense: per-tensor moments keyed by visit order, sliced out of
-        // the flat vectors by each tensor's length.
-        let mut entries = Vec::new();
-        let mut off = 0usize;
-        let mut id = 0u64;
-        model.for_each_param(|p, _| {
-            let len = p.numel();
-            entries.push((
-                id,
-                seg.m[off..off + len].to_vec(),
-                seg.v[off..off + len].to_vec(),
-            ));
-            off += len;
-            id += 1;
-        });
-        opt.import_state(seg.opt_step, entries);
-    }
-    let mut corpus = Corpus::new(cfg.model.vocab, 0.05, cfg.seed ^ 0x5eed);
-    corpus.set_rng_state(seg.rng);
-
+) -> SegmentOut {
+    let RankCtx {
+        rank,
+        plan,
+        base_step,
+        steps,
+    } = *ctx;
+    let Replica { model, opt, corpus } = replica;
     let mlp_chunks = 2 * cfg.mode.chunks();
     let loss_chunks = (cfg.model.vocab / cfg.model.hidden * 2).max(1);
     let accum = cfg.grad_accum.max(1);
-    let mut losses = Vec::with_capacity(seg.steps / accum);
-    let mut grads = Vec::new();
-    let mut done = 0usize;
-    let mut err = None;
-    'windows: for w in 0..seg.steps / accum {
+    let mut out = SegmentOut {
+        steps: 0,
+        losses: Vec::with_capacity(steps / accum),
+        grads: Vec::new(),
+        host: PoolStats::default(),
+        comm: CommStats::default(),
+        err: None,
+    };
+    for w in 0..steps / accum {
         let rng_snap = corpus.rng_state();
         model.zero_grad();
-        let mut window_loss = 0.0f32;
-        let mut window_tokens = 0usize;
-        for _micro in 0..accum {
-            let (gx, gy) = corpus.sample(cfg.seq);
-            let (tokens, targets, pos) = match plan {
-                Some(p) => (
-                    p.shard(rank, &gx),
-                    p.shard(rank, &gy),
-                    p.local_positions(rank),
-                ),
-                None => (gx, gy, (0..cfg.seq).collect()),
-            };
-            let fb = if cfg.activation_checkpoint {
-                model.forward_backward_checkpointed(
-                    exec,
-                    &tokens,
-                    &targets,
-                    &pos,
-                    mlp_chunks,
-                    loss_chunks,
-                )
-            } else {
-                model.forward_backward(exec, &tokens, &targets, &pos, mlp_chunks, loss_chunks)
-            };
-            match fb {
-                Ok(stats) => {
-                    window_loss += stats.loss_sum;
-                    window_tokens += stats.tokens;
-                }
-                Err(e) => {
-                    err = Some(exec_error(e));
-                    corpus.set_rng_state(rng_snap);
-                    model.zero_grad();
-                    if let Some(rec) = recorder {
-                        rec.event("recover.rollback");
+        let window = 'window: {
+            let mut window_loss = 0.0f32;
+            let mut window_tokens = 0usize;
+            for _micro in 0..accum {
+                let (gx, gy) = corpus.sample(cfg.seq);
+                let (tokens, targets, pos) = match plan {
+                    Some(p) => (
+                        p.shard(rank, &gx),
+                        p.shard(rank, &gy),
+                        p.local_positions(rank),
+                    ),
+                    None => (gx, gy, (0..cfg.seq).collect()),
+                };
+                let fb = if cfg.activation_checkpoint {
+                    model.forward_backward_checkpointed(
+                        exec,
+                        &tokens,
+                        &targets,
+                        &pos,
+                        mlp_chunks,
+                        loss_chunks,
+                    )
+                } else {
+                    model.forward_backward(exec, &tokens, &targets, &pos, mlp_chunks, loss_chunks)
+                };
+                match fb {
+                    Ok(stats) => {
+                        window_loss += stats.loss_sum;
+                        window_tokens += stats.tokens;
                     }
-                    break 'windows;
+                    Err(e) => break 'window Err(exec_error(e)),
                 }
             }
-        }
-        // linear warmup on the *global* optimizer-step counter, so resumed
-        // segments continue the schedule exactly
-        if cfg.warmup_steps > 0 {
-            let opt_step_no = (seg.base_step + (w + 1) * accum) / accum;
-            let frac = (opt_step_no as f32 / cfg.warmup_steps as f32).min(1.0);
-            opt.set_lr(cfg.lr * frac);
-        }
-        match sync_and_step(&mut model, &mut opt, window_loss, window_tokens) {
+            // linear warmup on the *global* optimizer-step counter, so
+            // resumed segments continue the schedule exactly
+            if cfg.warmup_steps > 0 {
+                let opt_step_no = (base_step + (w + 1) * accum) / accum;
+                let frac = (opt_step_no as f32 / cfg.warmup_steps as f32).min(1.0);
+                opt.set_lr(cfg.lr * frac);
+            }
+            sync_and_step(model, opt, window_loss, window_tokens)
+        };
+        match window {
             Ok((loss_sum, total_tokens, g)) => {
-                losses.push(loss_sum / total_tokens as f32);
-                grads = g;
-                done += accum;
+                out.losses.push(loss_sum / total_tokens as f32);
+                out.grads = g;
+                out.steps += accum;
             }
             Err(e) => {
-                err = Some(e);
+                out.err = Some(e);
                 corpus.set_rng_state(rng_snap);
                 model.zero_grad();
                 if let Some(rec) = recorder {
                     rec.event("recover.rollback");
                 }
-                break 'windows;
+                break;
             }
         }
     }
-
-    let params = model.collect_params();
-    let opt_bytes = opt.state_bytes();
-    let (opt_step, entries) = opt.export_state();
-    let (m, v) = if zero {
-        let (_, m, v) = entries.into_iter().next().expect("imported at entry");
-        (m, v)
-    } else {
-        let mut m = Vec::with_capacity(n);
-        let mut v = Vec::with_capacity(n);
-        for (_, em, ev) in entries {
-            m.extend_from_slice(&em);
-            v.extend_from_slice(&ev);
-        }
-        (m, v)
-    };
-    RankOut {
-        steps: done,
-        losses,
-        params,
-        m,
-        v,
-        opt_step,
-        opt_bytes,
-        rng: corpus.rng_state(),
-        grads,
-        host: PoolStats::default(),
-        comm: CommStats::default(),
-        err,
-    }
+    out
 }
 
-/// Runs one segment at the configured geometry, returning every rank's
-/// result in rank order.
-fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) -> Vec<RankOut> {
+/// Runs one segment at the configured geometry on the resident replicas
+/// (one per rank, updated in place), returning rank 0's result.
+fn run_segment(
+    cfg: &TrainConfig,
+    recorder: Option<&Recorder>,
+    replicas: &mut [Replica],
+    base_step: usize,
+    steps: usize,
+) -> SegmentOut {
     match cfg.mode {
         Mode::Single => {
             let mut exec = LocalAttention::new(1);
-            vec![run_rank_segment(
+            let ctx = RankCtx {
+                rank: 0,
+                plan: None,
+                base_step,
+                steps,
+            };
+            run_rank_segment(
                 cfg,
-                &RankCtx {
-                    rank: 0,
-                    world: 1,
-                    plan: None,
-                },
+                &ctx,
                 &mut exec,
                 recorder,
-                seg,
+                &mut replicas[0],
                 |model, opt, ls, tok| {
                     let flat = model.collect_grads();
                     model.set_grads(&flat, 1.0 / tok as f32);
                     model.optimizer_step(opt);
                     Ok((ls, tok, flat))
                 },
-            )]
+            )
         }
         Mode::Ulysses | Mode::Ring | Mode::Fpdt { .. } => {
             let world = cfg.world;
             let chunks = cfg.mode.chunks();
             let offload = cfg.mode.offload();
             let retries = cfg.runtime.comm_retries;
-            run_group(world, |comm| {
+            let zero = zero_sharded(cfg);
+            // each rank thread holds its own replica's lock for the segment
+            let slots: Vec<Mutex<&mut Replica>> = replicas.iter_mut().map(Mutex::new).collect();
+            let mut outs = run_group(world, |comm| {
                 let comm = Arc::new(comm);
                 let plan = ChunkPlan::new(cfg.seq, world, chunks).expect("validated by Trainer");
                 // SPMD-symmetric fault injection: every rank arms the same
@@ -577,24 +639,10 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                     let reduced = retrying_traced(&comm, retries, recorder, |c| {
                         c.all_reduce_chunked(&flat, REDUCE_BUCKET)
                     })?;
-                    drop(reduce_span);
+                    drop((reduce_span, flat));
                     let scale = 1.0 / scalars[1];
-                    if cfg.zero_shard {
-                        // ZeRO-1: this rank owns a contiguous slice of
-                        // the flat parameter vector; update it with its
-                        // own optimizer shard, then all-gather.
-                        let mut params = model.collect_params();
-                        let n = params.len();
-                        let (lo, hi) = (rank * n / world, (rank + 1) * n / world);
-                        let gshard: Vec<f32> =
-                            reduced[lo..hi].iter().map(|g| g * scale).collect();
-                        opt.begin_step();
-                        opt.update(0, &mut params[lo..hi], &gshard);
-                        let shards = retrying_traced(&comm, retries, recorder, |c| {
-                            c.all_gather(&params[lo..hi])
-                        })?;
-                        let full: Vec<f32> = shards.into_iter().flatten().collect();
-                        model.set_params(&full);
+                    if zero {
+                        zero_step(&comm, retries, recorder, model, opt, &reduced, scale)?;
                     } else {
                         model.set_grads(&reduced, scale);
                         model.optimizer_step(opt);
@@ -603,10 +651,12 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                 };
                 let ctx = RankCtx {
                     rank,
-                    world,
                     plan: Some(&plan),
+                    base_step,
+                    steps,
                 };
-                let mut out = run_rank_segment(cfg, &ctx, exec, recorder, seg, sync);
+                let mut replica = slots[rank].lock().unwrap_or_else(PoisonError::into_inner);
+                let mut out = run_rank_segment(cfg, &ctx, exec, recorder, &mut replica, sync);
                 out.host = match cfg.mode {
                     Mode::Ring => PoolStats::default(),
                     _ => dist_exec
@@ -616,7 +666,8 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
                 };
                 out.comm = comm.stats();
                 out
-            })
+            });
+            outs.swap_remove(0)
         }
     }
 }
@@ -625,23 +676,24 @@ fn run_segment(cfg: &TrainConfig, recorder: Option<&Recorder>, seg: &SegmentIn) 
 // The Trainer
 // ---------------------------------------------------------------------------
 
+/// Why a `Trainer` without replicas refuses to go on.
+const NO_REPLICAS: &str = "a rank panicked in an earlier run_steps and took this Trainer's \
+     replicas with it; rebuild the session with Trainer::resume from the last checkpoint";
+
 /// A resumable, fault-tolerant training session (see the module docs).
 ///
-/// Durable state is held host-side between segments in a world-independent
-/// flat layout; `run_steps` executes whole accumulation windows on a fresh
-/// thread-device world and commits the results. [`Trainer::checkpoint`]
-/// cuts per-rank shards from that host state (no collective involved);
-/// [`Trainer::resume`] rebuilds a `Trainer` from a shard directory.
+/// Each rank's model, optimizer and data stream stay resident between
+/// segments; `run_steps` lends them to a fresh thread-device world and
+/// takes them back. [`Trainer::checkpoint`] cuts per-rank shards from the
+/// flat view of that state (no collective involved); [`Trainer::resume`]
+/// rebuilds the replicas from a shard directory.
 #[derive(Debug)]
 pub struct Trainer {
     cfg: TrainConfig,
     recorder: Option<Recorder>,
-    params: Vec<f32>,
-    opt_m: Vec<f32>,
-    opt_v: Vec<f32>,
-    opt_step: u64,
+    /// One per rank; empty only after a rank panic unwound a segment.
+    replicas: Vec<Replica>,
     opt_state_bytes: usize,
-    rng: [u64; 4],
     step: usize,
     losses: Vec<f32>,
     grads: Vec<f32>,
@@ -659,19 +711,15 @@ impl Trainer {
     /// [`train`] always had.
     pub fn new(cfg: TrainConfig) -> Self {
         cfg.validate();
-        let mut model = GptModel::new(&cfg.model, cfg.seed);
-        let params = model.collect_params();
-        let n = params.len();
+        let model = GptModel::new(&cfg.model, cfg.seed);
+        let zeros = vec![0.0; model.param_count()];
         let rng = Corpus::new(cfg.model.vocab, 0.05, cfg.seed ^ 0x5eed).rng_state();
+        let replicas = build_replicas(&cfg, model, 0, &zeros, &zeros, rng);
         Trainer {
             cfg,
             recorder: None,
-            params,
-            opt_m: vec![0.0; n],
-            opt_v: vec![0.0; n],
-            opt_step: 0,
+            replicas,
             opt_state_bytes: 0,
-            rng,
             step: 0,
             losses: Vec::new(),
             grads: Vec::new(),
@@ -684,6 +732,13 @@ impl Trainer {
     /// plus `recover.retry` / `recover.rollback` events).
     #[must_use]
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        self.replicas = std::mem::take(&mut self.replicas)
+            .into_iter()
+            .map(|mut r| {
+                r.model = r.model.with_recorder(recorder.clone());
+                r
+            })
+            .collect();
         self.recorder = Some(recorder);
         self
     }
@@ -706,22 +761,44 @@ impl Trainer {
     }
 
     /// Elastically resizes the thread-device world for subsequent
-    /// segments. Parameters and moments are stored flat and re-shard
-    /// automatically; only the geometry of the next segment changes.
+    /// segments: the replicas are flattened into the world-independent
+    /// view and re-cut for the new world (ZeRO-1 moment slices re-shard
+    /// exactly).
     ///
     /// # Panics
     ///
     /// Panics when the model/sequence cannot divide across the new world
-    /// (same divisibility contract as [`Trainer::new`]).
+    /// (same divisibility contract as [`Trainer::new`]), or after a rank
+    /// panic took the replicas (see the module docs).
     pub fn resize(&mut self, world: usize) {
         let mut cfg = self.cfg.clone();
         cfg.world = world;
         cfg.validate();
+        let replicas = self.take_replicas();
+        let n = replicas[0].model.param_count();
+        let (m, v) = moments_range(&replicas, zero_sharded(&self.cfg), 0, n);
+        let (opt_step, rng) = (replicas[0].opt.steps(), replicas[0].corpus.rng_state());
+        let model = replicas.into_iter().next().expect("non-empty").model;
+        self.replicas = build_replicas(&cfg, model, opt_step, &m, &v, rng);
         self.cfg = cfg;
     }
 
-    /// Runs `n` micro-steps (whole accumulation windows) and commits the
-    /// resulting state. On a collective failure past the retry budget the
+    /// Moves the replicas out of the session. A rank panic unwinds past
+    /// the point where a segment hands them back, so they are then gone
+    /// for good rather than half-updated.
+    fn take_replicas(&mut self) -> Vec<Replica> {
+        let replicas = std::mem::take(&mut self.replicas);
+        assert!(!replicas.is_empty(), "{NO_REPLICAS}");
+        replicas
+    }
+
+    fn replicas(&self) -> &[Replica] {
+        assert!(!self.replicas.is_empty(), "{NO_REPLICAS}");
+        &self.replicas
+    }
+
+    /// Runs `n` micro-steps (whole accumulation windows) on the resident
+    /// replicas. On a collective failure past the retry budget the
     /// session rolls back to the last completed optimizer window and the
     /// error is returned — call `run_steps` again to retry the remainder.
     ///
@@ -734,7 +811,8 @@ impl Trainer {
     ///
     /// Panics when `n` is not a multiple of `grad_accum` — segments must
     /// align to optimizer windows or rollback boundaries would be
-    /// ambiguous.
+    /// ambiguous. A rank panic propagates, and leaves the session without
+    /// replicas (see the module docs).
     pub fn run_steps(&mut self, n: usize) -> Result<(), TrainError> {
         let accum = self.cfg.grad_accum.max(1);
         assert!(
@@ -744,39 +822,16 @@ impl Trainer {
         if n == 0 {
             return Ok(());
         }
-        let seg = SegmentIn {
-            params: self.params.clone(),
-            m: self.opt_m.clone(),
-            v: self.opt_v.clone(),
-            opt_step: self.opt_step,
-            rng: self.rng,
-            base_step: self.step,
-            steps: n,
-        };
-        let mut outs = run_segment(&self.cfg, self.recorder.as_ref(), &seg);
-        let world = outs.len();
-        let zero = self.cfg.zero_shard && world > 1;
-        let (m, v) = if zero {
-            // reassemble the flat moment vectors from every rank's slice
-            // (slice bounds are the same integer division the next
-            // segment will use, so concatenation is exact at any world)
-            let mut m = Vec::with_capacity(self.params.len());
-            let mut v = Vec::with_capacity(self.params.len());
-            for o in &outs {
-                m.extend_from_slice(&o.m);
-                v.extend_from_slice(&o.v);
-            }
-            (m, v)
-        } else {
-            (std::mem::take(&mut outs[0].m), std::mem::take(&mut outs[0].v))
-        };
-        let r0 = outs.swap_remove(0);
-        self.params = r0.params;
-        self.opt_m = m;
-        self.opt_v = v;
-        self.opt_step = r0.opt_step;
-        self.opt_state_bytes = r0.opt_bytes;
-        self.rng = r0.rng;
+        let mut replicas = self.take_replicas();
+        let r0 = run_segment(
+            &self.cfg,
+            self.recorder.as_ref(),
+            &mut replicas,
+            self.step,
+            n,
+        );
+        self.opt_state_bytes = replicas[0].opt.state_bytes();
+        self.replicas = replicas;
         self.step += r0.steps;
         self.losses.extend(r0.losses);
         if !r0.grads.is_empty() {
@@ -805,6 +860,7 @@ impl Trainer {
     /// Replicated (world-independent) metadata every shard carries.
     fn meta_dict(&self) -> StateDict {
         let cfg = &self.cfg;
+        let r0 = &self.replicas()[0];
         let mut d = StateDict::new();
         d.insert("cfg.model.name", StateValue::Str(cfg.model.name.clone()));
         d.insert(
@@ -844,12 +900,12 @@ impl Trainer {
         d.insert("cfg.lr", StateValue::F32(vec![cfg.lr]));
         d.insert("cfg.mode", StateValue::Str(cfg.mode.as_str()));
         d.insert("trainer.step", StateValue::U64(vec![self.step as u64]));
-        d.insert("opt.step", StateValue::U64(vec![self.opt_step]));
+        d.insert("opt.step", StateValue::U64(vec![r0.opt.steps()]));
         d.insert(
             "opt.state_bytes",
             StateValue::U64(vec![self.opt_state_bytes as u64]),
         );
-        d.insert("rng.state", StateValue::U64(self.rng.to_vec()));
+        d.insert("rng.state", StateValue::U64(r0.corpus.rng_state().to_vec()));
         d.insert("trainer.losses", StateValue::F32(self.losses.clone()));
         d.insert("trainer.grads", StateValue::F32(self.grads.clone()));
         d.insert(
@@ -894,25 +950,31 @@ impl Trainer {
     /// Writes a sharded checkpoint: one `shard-{rank}-of-{world}.fpdt`
     /// per configured rank, each holding the replicated metadata plus that
     /// rank's contiguous slice of the flat parameters and moments. Cut
-    /// from host state at a segment boundary, so no collective (and no
-    /// live world) is involved.
+    /// from the replicas' flat view at a segment boundary, so no
+    /// collective (and no live world) is involved.
     ///
     /// # Errors
     ///
     /// Typed [`CkptError`]s for any filesystem failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics after a rank panic took the replicas (see the module docs).
     pub fn checkpoint(&self, dir: &Path) -> Result<(), CkptError> {
         let world = self.cfg.world.max(1);
-        let n = self.params.len();
+        let replicas = self.replicas();
+        let n = replicas[0].model.param_count();
         for rank in 0..world {
-            let (lo, hi) = (rank * n / world, (rank + 1) * n / world);
+            let (lo, hi) = shard_bounds(n, rank, world);
+            let (m, v) = moments_range(replicas, zero_sharded(&self.cfg), lo, hi);
             let mut d = self.meta_dict();
             d.insert("meta.rank", StateValue::U64(vec![rank as u64]));
             d.insert(
                 "model.params.shard",
-                StateValue::F32(self.params[lo..hi].to_vec()),
+                StateValue::F32(replicas[0].model.params_range(lo, hi)),
             );
-            d.insert("opt.m.shard", StateValue::F32(self.opt_m[lo..hi].to_vec()));
-            d.insert("opt.v.shard", StateValue::F32(self.opt_v[lo..hi].to_vec()));
+            d.insert("opt.m.shard", StateValue::F32(m));
+            d.insert("opt.v.shard", StateValue::F32(v));
             ckpt::write_shard(dir, rank, world, &d)?;
         }
         Ok(())
@@ -947,11 +1009,7 @@ impl Trainer {
     /// state that does not fit the recorded architecture.
     pub fn resume(dir: &Path) -> Result<Self, CkptError> {
         let paths = ckpt::shard_paths(dir)?;
-        let shards: Vec<StateDict> = paths
-            .iter()
-            .map(|p| ckpt::read_shard(p))
-            .collect::<Result<_, _>>()?;
-        let meta = &shards[0];
+        let meta = ckpt::read_shard(&paths[0])?;
         let dims = meta.u64s("cfg.model.dims")?;
         if dims.len() != 6 {
             return Err(CkptError::Corrupt(format!(
@@ -980,11 +1038,11 @@ impl Trainer {
         if t.len() != 8 {
             return Err(CkptError::Corrupt(format!("cfg.train has {} fields", t.len())));
         }
-        if t[0] as usize != shards.len() {
+        if t[0] as usize != paths.len() {
             return Err(CkptError::Corrupt(format!(
                 "config world {} disagrees with {} shards",
                 t[0],
-                shards.len()
+                paths.len()
             )));
         }
         let lr_entry = meta.f32s("cfg.lr")?;
@@ -1005,41 +1063,6 @@ impl Trainer {
             runtime: RuntimeOptions::from_env(),
         };
         cfg.validate();
-
-        let mut params = Vec::new();
-        let mut m = Vec::new();
-        let mut v = Vec::new();
-        for (rank, shard) in shards.iter().enumerate() {
-            if shard.u64_scalar("meta.rank")? != rank as u64 {
-                return Err(CkptError::Corrupt(format!(
-                    "shard {rank} carries the wrong rank id"
-                )));
-            }
-            for key in ["trainer.step", "opt.step"] {
-                if shard.u64_scalar(key)? != meta.u64_scalar(key)? {
-                    return Err(CkptError::Corrupt(format!(
-                        "replicated {key} disagrees between shards 0 and {rank}"
-                    )));
-                }
-            }
-            params.extend_from_slice(shard.f32s("model.params.shard")?);
-            m.extend_from_slice(shard.f32s("opt.m.shard")?);
-            v.extend_from_slice(shard.f32s("opt.v.shard")?);
-        }
-        let expected = GptModel::new(&cfg.model, cfg.seed).param_count();
-        if params.len() != expected {
-            return Err(CkptError::Corrupt(format!(
-                "shards hold {} parameters, architecture expects {expected}",
-                params.len()
-            )));
-        }
-        if m.len() != expected || v.len() != expected {
-            return Err(CkptError::Corrupt(format!(
-                "moment vectors ({}, {}) do not match {expected} parameters",
-                m.len(),
-                v.len()
-            )));
-        }
 
         let rng_words = meta.u64s("rng.state")?;
         let rng: [u64; 4] = rng_words.try_into().map_err(|_| {
@@ -1104,18 +1127,65 @@ impl Trainer {
             retries: recovery[1],
         };
 
+        let step = meta.u64_scalar("trainer.step")?;
+        let opt_step = meta.u64_scalar("opt.step")?;
+        let opt_state_bytes = meta.u64_scalar("opt.state_bytes")? as usize;
+        let losses = meta.f32s("trainer.losses")?.to_vec();
+        let grads = meta.f32s("trainer.grads")?.to_vec();
+
+        // Shards are decoded one at a time and dropped once their slices
+        // are copied out, which keeps the resume's memory peak low.
+        let mut params = Vec::new();
+        let mut m = Vec::new();
+        let mut v = Vec::new();
+        let mut first = Some(meta);
+        for (rank, path) in paths.iter().enumerate() {
+            let shard = match first.take() {
+                Some(meta) => meta,
+                None => ckpt::read_shard(path)?,
+            };
+            if shard.u64_scalar("meta.rank")? != rank as u64 {
+                return Err(CkptError::Corrupt(format!(
+                    "shard {rank} carries the wrong rank id"
+                )));
+            }
+            for (key, value) in [("trainer.step", step), ("opt.step", opt_step)] {
+                if shard.u64_scalar(key)? != value {
+                    return Err(CkptError::Corrupt(format!(
+                        "replicated {key} disagrees between shards 0 and {rank}"
+                    )));
+                }
+            }
+            params.extend_from_slice(shard.f32s("model.params.shard")?);
+            m.extend_from_slice(shard.f32s("opt.m.shard")?);
+            v.extend_from_slice(shard.f32s("opt.v.shard")?);
+        }
+        let mut model = GptModel::zeroed(&cfg.model);
+        let expected = model.param_count();
+        if params.len() != expected {
+            return Err(CkptError::Corrupt(format!(
+                "shards hold {} parameters, architecture expects {expected}",
+                params.len()
+            )));
+        }
+        if m.len() != expected || v.len() != expected {
+            return Err(CkptError::Corrupt(format!(
+                "moment vectors ({}, {}) do not match {expected} parameters",
+                m.len(),
+                v.len()
+            )));
+        }
+
+        model.set_params(&params);
+        drop(params);
         Ok(Trainer {
-            step: meta.u64_scalar("trainer.step")? as usize,
-            opt_step: meta.u64_scalar("opt.step")?,
-            opt_state_bytes: meta.u64_scalar("opt.state_bytes")? as usize,
-            losses: meta.f32s("trainer.losses")?.to_vec(),
-            grads: meta.f32s("trainer.grads")?.to_vec(),
+            step: step as usize,
+            opt_state_bytes,
+            losses,
+            grads,
+            replicas: build_replicas(&cfg, model, opt_step, &m, &v, rng),
             cfg,
             recorder: None,
-            params,
-            opt_m: m,
-            opt_v: v,
-            rng,
             host,
             comm,
         })
@@ -1464,6 +1534,79 @@ mod zero_tests {
         for (a, b) in sharded.losses.iter().zip(&dense.losses) {
             assert!((a - b).abs() < 1e-4);
         }
+    }
+}
+
+#[cfg(test)]
+mod rollback_tests {
+    use super::*;
+
+    #[test]
+    fn failed_parameter_gather_leaves_the_zero1_optimizer_untouched() {
+        // The ZeRO-1 update runs before the parameter all-gather; when the
+        // gather fails past its retry budget, neither the step counter nor
+        // the moments may advance, or the retried window applies Adam twice.
+        let cfg = ModelConfig::tiny(1, 16, 2, 20);
+        run_group(2, |comm| {
+            let mut model = GptModel::new(&cfg, 3);
+            let reduced: Vec<f32> = (0..model.param_count())
+                .map(|i| (i % 7) as f32 * 0.01 - 0.03)
+                .collect();
+            let mut opt = AdamW::new(AdamWConfig {
+                lr: 1e-2,
+                ..Default::default()
+            });
+            let step = |model: &mut GptModel, opt: &mut AdamW| {
+                zero_step(&comm, 0, None, model, opt, &reduced, 0.5)
+            };
+            step(&mut model, &mut opt).expect("first step");
+            let (mut clean_model, mut clean_opt) = (model.clone(), opt.clone());
+            step(&mut clean_model, &mut clean_opt).expect("clean second step");
+
+            let (params, state) = (model.collect_params(), opt.export_state());
+            comm.inject_fault("all_gather", 1);
+            let err = step(&mut model, &mut opt).expect_err("the gather fails");
+            assert!(matches!(err, TrainError::Comm(ref e) if e.is_retryable()), "{err}");
+            assert_eq!(opt.steps(), 1, "step counter unchanged");
+            assert_eq!(opt.export_state(), state, "moments unchanged");
+            assert_eq!(model.collect_params(), params, "parameters unchanged");
+
+            // the retried window lands bit for bit where the clean one did
+            step(&mut model, &mut opt).expect("retried step");
+            let bits = |x: Vec<f32>| x.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(model.collect_params()), bits(clean_model.collect_params()));
+            assert_eq!(opt.export_state(), clean_opt.export_state());
+        });
+    }
+
+    #[test]
+    fn a_panicked_segment_leaves_no_replicas_to_continue_from() {
+        let mut t = Trainer::new(small_f32(Mode::Single));
+        t.run_steps(1).expect("clean step");
+        // sabotage the optimizer so the next window's update panics
+        t.replicas[0]
+            .opt
+            .import_state(1, vec![(0, vec![0.0], vec![0.0])]);
+        let catch = |f: &mut dyn FnMut(&mut Trainer), t: &mut Trainer| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(t)))
+                .expect_err("panics")
+                .downcast::<String>()
+                .map(|m| *m)
+                .unwrap_or_default()
+        };
+        catch(&mut |t| drop(t.run_steps(1)), &mut t);
+        assert!(t.replicas.is_empty(), "the unwound segment took the replicas");
+        assert_eq!(t.step(), 1, "nothing of the panicked segment was kept");
+        assert_eq!(t.report().losses.len(), 1);
+        let dir = std::env::temp_dir().join(format!("fpdt-panicked-{}", std::process::id()));
+        for msg in [
+            catch(&mut |t| drop(t.run_steps(1)), &mut t),
+            catch(&mut |t| drop(t.checkpoint(&dir)), &mut t),
+            catch(&mut |t| t.resize(1), &mut t),
+        ] {
+            assert!(msg.contains("Trainer::resume"), "{msg}");
+        }
+        assert!(!dir.exists(), "no checkpoint was cut from missing replicas");
     }
 }
 

@@ -14,11 +14,53 @@ use fpdt_tensor::nn::{AdamW, Embedding, LayerNorm, Linear, RmsNorm};
 use fpdt_tensor::ops::{self, LayerNormCtx, RmsNormCtx};
 use fpdt_tensor::{init, Tensor};
 use fpdt_trace::Recorder;
+use rand::rngs::SmallRng;
 
 /// Target id that contributes neither loss nor gradient.
 pub const IGNORE_INDEX: usize = usize::MAX;
 const ROPE_BASE: f32 = 10_000.0;
 const NORM_EPS: f32 = 1e-5;
+
+/// Where a new model's weights come from.
+enum Init<'a> {
+    /// The reproducible seeded draws of [`GptModel::new`].
+    Seeded(&'a mut SmallRng),
+    /// Zeros, for a model whose weights are overwritten right away.
+    Zeros,
+}
+
+impl Init<'_> {
+    fn linear(&mut self, fan_in: usize, fan_out: usize, bias: bool) -> Linear {
+        match self {
+            Init::Seeded(rng) => Linear::new(fan_in, fan_out, bias, rng),
+            Init::Zeros => Linear {
+                weight: Tensor::zeros(&[fan_in, fan_out]),
+                bias: bias.then(|| Tensor::zeros(&[fan_out])),
+                dweight: Tensor::zeros(&[fan_in, fan_out]),
+                dbias: bias.then(|| Tensor::zeros(&[fan_out])),
+            },
+        }
+    }
+
+    fn embedding(&mut self, vocab: usize, dim: usize) -> Embedding {
+        match self {
+            Init::Seeded(rng) => Embedding::new(vocab, dim, rng),
+            Init::Zeros => Embedding {
+                weight: Tensor::zeros(&[vocab, dim]),
+                dweight: Tensor::zeros(&[vocab, dim]),
+            },
+        }
+    }
+}
+
+/// Read-only visit of a linear layer's parameters, in
+/// [`GptModel::for_each_param`] order (weight, then bias).
+fn visit_linear(l: &Linear, f: &mut impl FnMut(&Tensor)) {
+    f(&l.weight);
+    if let Some(b) = &l.bias {
+        f(b);
+    }
+}
 
 /// Family-dispatched normalization layer.
 #[derive(Debug, Clone)]
@@ -77,6 +119,16 @@ impl Norm {
             Norm::Rms(n) => f(&mut n.gamma, &mut n.dgamma),
         }
     }
+
+    fn visit_params(&self, f: &mut impl FnMut(&Tensor)) {
+        match self {
+            Norm::Layer(n) => {
+                f(&n.gamma);
+                f(&n.beta);
+            }
+            Norm::Rms(n) => f(&n.gamma),
+        }
+    }
 }
 
 /// Family-dispatched MLP.
@@ -102,17 +154,17 @@ struct MlpCtx {
 }
 
 impl Mlp {
-    fn new(cfg: &ModelConfig, rng: &mut rand::rngs::SmallRng) -> Self {
+    fn new(cfg: &ModelConfig, init: &mut Init<'_>) -> Self {
         let (h, f) = (cfg.hidden, cfg.ffn_hidden);
         match cfg.family {
             Family::Gpt => Mlp::Gelu {
-                fc1: Linear::new(h, f, true, rng),
-                fc2: Linear::new(f, h, true, rng),
+                fc1: init.linear(h, f, true),
+                fc2: init.linear(f, h, true),
             },
             Family::Llama => Mlp::SwiGlu {
-                gate: Linear::new(h, f, false, rng),
-                up: Linear::new(h, f, false, rng),
-                down: Linear::new(f, h, false, rng),
+                gate: init.linear(h, f, false),
+                up: init.linear(h, f, false),
+                down: init.linear(f, h, false),
             },
         }
     }
@@ -189,6 +241,17 @@ impl Mlp {
             }
         }
     }
+
+    fn visit_params(&self, f: &mut impl FnMut(&Tensor)) {
+        match self {
+            Mlp::Gelu { fc1, fc2 } => [fc1, fc2].into_iter().for_each(|l| visit_linear(l, f)),
+            Mlp::SwiGlu { gate, up, down } => {
+                [gate, up, down]
+                    .into_iter()
+                    .for_each(|l| visit_linear(l, f));
+            }
+        }
+    }
 }
 
 /// One Transformer block's parameters.
@@ -217,17 +280,17 @@ pub struct BlockCtx {
 }
 
 impl Block {
-    fn new(cfg: &ModelConfig, rng: &mut rand::rngs::SmallRng) -> Self {
+    fn new(cfg: &ModelConfig, init: &mut Init<'_>) -> Self {
         let h = cfg.hidden;
         let dh = cfg.head_dim();
         let bias = matches!(cfg.family, Family::Gpt);
         Block {
             norm1: Norm::new(cfg.family, h),
-            q_proj: Linear::new(h, cfg.heads * dh, bias, rng),
-            kv_proj: Linear::new(h, 2 * cfg.kv_heads * dh, bias, rng),
-            out_proj: Linear::new(cfg.heads * dh, h, bias, rng),
+            q_proj: init.linear(h, cfg.heads * dh, bias),
+            kv_proj: init.linear(h, 2 * cfg.kv_heads * dh, bias),
+            out_proj: init.linear(cfg.heads * dh, h, bias),
             norm2: Norm::new(cfg.family, h),
-            mlp: Mlp::new(cfg, rng),
+            mlp: Mlp::new(cfg, init),
             heads: cfg.heads,
             kv_heads: cfg.kv_heads,
         }
@@ -359,6 +422,15 @@ impl Block {
         self.norm2.for_each_param(f);
         self.mlp.for_each_param(f);
     }
+
+    fn visit_params(&self, f: &mut impl FnMut(&Tensor)) {
+        self.norm1.visit_params(f);
+        for l in [&self.q_proj, &self.kv_proj, &self.out_proj] {
+            visit_linear(l, f);
+        }
+        self.norm2.visit_params(f);
+        self.mlp.visit_params(f);
+    }
 }
 
 fn chunk_ranges(s: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
@@ -394,6 +466,7 @@ pub struct LossStats {
 
 /// The full model (either family, selected by
 /// [`ModelConfig::family`](fpdt_model::config::ModelConfig)).
+#[derive(Debug, Clone)]
 pub struct GptModel {
     cfg: ModelConfig,
     emb: Embedding,
@@ -407,14 +480,25 @@ impl GptModel {
     /// Builds a model with reproducible initialization: two ranks created
     /// with the same `(cfg, seed)` hold identical parameters.
     pub fn new(cfg: &ModelConfig, seed: u64) -> Self {
-        let mut rng = init::seeded_rng(seed);
-        let blocks = (0..cfg.layers).map(|_| Block::new(cfg, &mut rng)).collect();
+        Self::build(cfg, &mut Init::Seeded(&mut init::seeded_rng(seed)))
+    }
+
+    /// Builds a model of `cfg`'s architecture without random draws (zero
+    /// projections and embeddings, identity norms) — the skeleton a flat
+    /// parameter vector (a checkpoint) is loaded into with
+    /// [`GptModel::set_params`].
+    pub fn zeroed(cfg: &ModelConfig) -> Self {
+        Self::build(cfg, &mut Init::Zeros)
+    }
+
+    fn build(cfg: &ModelConfig, init: &mut Init<'_>) -> Self {
+        let blocks = (0..cfg.layers).map(|_| Block::new(cfg, init)).collect();
         GptModel {
             cfg: cfg.clone(),
-            emb: Embedding::new(cfg.vocab, cfg.hidden, &mut rng),
+            emb: init.embedding(cfg.vocab, cfg.hidden),
             blocks,
             norm_f: Norm::new(cfg.family, cfg.hidden),
-            head: Linear::new(cfg.hidden, cfg.vocab, false, &mut rng),
+            head: init.linear(cfg.hidden, cfg.vocab, false),
             recorder: None,
         }
     }
@@ -597,6 +681,17 @@ impl GptModel {
         f(&mut self.head.weight, &mut self.head.dweight);
     }
 
+    /// Visits every parameter read-only, in [`GptModel::for_each_param`]
+    /// order.
+    pub fn visit_params(&self, mut f: impl FnMut(&Tensor)) {
+        f(&self.emb.weight);
+        for b in &self.blocks {
+            b.visit_params(&mut f);
+        }
+        self.norm_f.visit_params(&mut f);
+        f(&self.head.weight);
+    }
+
     /// Flattens all gradients (fixed order) for an all-reduce.
     pub fn collect_grads(&mut self) -> Vec<f32> {
         let mut out = Vec::new();
@@ -604,11 +699,28 @@ impl GptModel {
         out
     }
 
-    /// Flattens all parameters (fixed order) — used by the ZeRO-1 sharded
-    /// optimizer path and by tests that copy weights between replicas.
-    pub fn collect_params(&mut self) -> Vec<f32> {
+    /// Flattens all parameters (fixed order) — used by checkpoints and by
+    /// tests that copy weights between replicas.
+    pub fn collect_params(&self) -> Vec<f32> {
         let mut out = Vec::new();
-        self.for_each_param(|p, _| out.extend_from_slice(p.data()));
+        self.visit_params(|p| out.extend_from_slice(p.data()));
+        out
+    }
+
+    /// Copies elements `lo..hi` of the flat parameter vector
+    /// ([`GptModel::collect_params`] order) without flattening the rest —
+    /// the slice a ZeRO-1 rank owns and updates.
+    pub fn params_range(&self, lo: usize, hi: usize) -> Vec<f32> {
+        let mut out = Vec::with_capacity(hi.saturating_sub(lo));
+        let mut off = 0usize;
+        self.visit_params(|p| {
+            let n = p.numel();
+            let (a, b) = (lo.max(off), hi.min(off + n));
+            if a < b {
+                out.extend_from_slice(&p.data()[a - off..b - off]);
+            }
+            off += n;
+        });
         out
     }
 
@@ -619,13 +731,23 @@ impl GptModel {
     ///
     /// Panics if `flat` does not match the parameter count.
     pub fn set_params(&mut self, flat: &[f32]) {
+        assert_eq!(flat.len(), self.param_count(), "parameter length mismatch");
+        self.set_params_range(0, flat);
+    }
+
+    /// Writes `src` over elements `lo..lo + src.len()` of the flat
+    /// parameter vector (the inverse of [`GptModel::params_range`]).
+    pub fn set_params_range(&mut self, lo: usize, src: &[f32]) {
+        let hi = lo + src.len();
         let mut off = 0usize;
         self.for_each_param(|p, _| {
             let n = p.numel();
-            p.data_mut().copy_from_slice(&flat[off..off + n]);
+            let (a, b) = (lo.max(off), hi.min(off + n));
+            if a < b {
+                p.data_mut()[a - off..b - off].copy_from_slice(&src[a - lo..b - lo]);
+            }
             off += n;
         });
-        assert_eq!(off, flat.len(), "parameter length mismatch");
     }
 
     /// Writes back (reduced) gradients, scaled by `scale`.
@@ -683,9 +805,9 @@ impl GptModel {
     }
 
     /// Total scalar parameter count.
-    pub fn param_count(&mut self) -> usize {
+    pub fn param_count(&self) -> usize {
         let mut n = 0;
-        self.for_each_param(|p, _| n += p.numel());
+        self.visit_params(|p| n += p.numel());
         n
     }
 
@@ -885,15 +1007,40 @@ mod tests {
     fn param_count_matches_config_accounting() {
         // GPT: config ties embeddings, runtime unties -> +vocab*hidden.
         let cfg = tiny();
-        let mut model = GptModel::new(&cfg, 0);
+        let model = GptModel::new(&cfg, 0);
         assert_eq!(
             model.param_count() as u64,
             cfg.param_count() + (cfg.vocab * cfg.hidden) as u64
         );
         // Llama: config is already untied -> exact match.
         let cfg = tiny_llama();
-        let mut model = GptModel::new(&cfg, 0);
+        let model = GptModel::new(&cfg, 0);
         assert_eq!(model.param_count() as u64, cfg.param_count());
+    }
+
+    #[test]
+    fn zeroed_skeleton_and_slices_agree_with_the_seeded_model() {
+        for cfg in [tiny(), tiny_llama()] {
+            let seeded = GptModel::new(&cfg, 3);
+            let flat = seeded.collect_params();
+            let mut loaded = GptModel::zeroed(&cfg);
+            assert_eq!(loaded.param_count(), flat.len());
+            loaded.set_params(&flat);
+            assert_eq!(loaded.collect_params(), flat);
+            // the read-only visitor walks the mutable visitor's order
+            let mut via_mut = Vec::new();
+            loaded.for_each_param(|p, _| via_mut.extend_from_slice(p.data()));
+            assert_eq!(via_mut, flat);
+            let n = flat.len();
+            for (lo, hi) in [(0, n), (0, 1), (n / 3, 2 * n / 3), (n - 5, n), (7, 7)] {
+                assert_eq!(seeded.params_range(lo, hi), flat[lo..hi], "{lo}..{hi}");
+                let mut patched = seeded.clone();
+                patched.set_params_range(lo, &vec![9.0; hi - lo]);
+                let mut want = flat.clone();
+                want[lo..hi].fill(9.0);
+                assert_eq!(patched.collect_params(), want, "{lo}..{hi}");
+            }
+        }
     }
 
     #[test]

@@ -110,31 +110,88 @@ impl AdamW {
     pub fn update(&mut self, param_id: u64, param: &mut [f32], grad: &[f32]) {
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
         assert!(self.step > 0, "call begin_step before update");
+        let k = Kernel::new(self.cfg, self.step);
+        let (m, v) = self.moments_mut(param_id, param.len());
+        for (((p, m), v), &g) in param
+            .iter_mut()
+            .zip(m.iter_mut())
+            .zip(v.iter_mut())
+            .zip(grad)
+        {
+            *m = k.m(*m, g);
+            *v = k.v(*v, g);
+            *p = k.param(*p, *m, *v);
+        }
+    }
+
+    /// The parameter half of [`AdamW::begin_step`] + [`AdamW::update`]:
+    /// writes exactly the `param` values that pair would, but leaves the
+    /// step counter and the moments untouched. [`AdamW::commit`] with the
+    /// same `grad` then advances them bit for bit as `update` would have,
+    /// so a step that can still fail after its update (a ZeRO-1 parameter
+    /// all-gather) commits the optimizer only once it has succeeded. For
+    /// optimizers that own a single parameter id.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`AdamW::update`].
+    pub fn stage(&self, param_id: u64, param: &mut [f32], grad: &[f32]) {
+        assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
+        let k = Kernel::new(self.cfg, self.step + 1);
+        match self.moments.get(&param_id) {
+            Some((m, v)) => {
+                assert_eq!(
+                    m.len(),
+                    param.len(),
+                    "param {param_id} re-registered with new length"
+                );
+                for (((p, &m), &v), &g) in param.iter_mut().zip(m).zip(v).zip(grad) {
+                    *p = k.param(*p, k.m(m, g), k.v(v, g));
+                }
+            }
+            None => {
+                for (p, &g) in param.iter_mut().zip(grad) {
+                    *p = k.param(*p, k.m(0.0, g), k.v(0.0, g));
+                }
+            }
+        }
+    }
+
+    /// Commits a step staged by [`AdamW::stage`]: advances the step
+    /// counter and the moments of `param_id` by `grad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `param_id` was previously used with a different length.
+    pub fn commit(&mut self, param_id: u64, grad: &[f32]) {
+        self.step += 1;
+        let k = Kernel::new(self.cfg, self.step);
+        let (m, v) = self.moments_mut(param_id, grad.len());
+        for ((m, v), &g) in m.iter_mut().zip(v.iter_mut()).zip(grad) {
+            *m = k.m(*m, g);
+            *v = k.v(*v, g);
+        }
+    }
+
+    /// The `(m, v)` buffers of `param_id`, zero-initialized on first use.
+    fn moments_mut(&mut self, param_id: u64, len: usize) -> (&mut [f32], &mut [f32]) {
         let (m, v) = self
             .moments
             .entry(param_id)
-            .or_insert_with(|| (vec![0.0; param.len()], vec![0.0; param.len()]));
+            .or_insert_with(|| (vec![0.0; len], vec![0.0; len]));
         assert_eq!(
             m.len(),
-            param.len(),
+            len,
             "param {param_id} re-registered with new length"
         );
-        let AdamWConfig {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            weight_decay,
-        } = self.cfg;
-        let bc1 = 1.0 - beta1.powi(self.step as i32);
-        let bc2 = 1.0 - beta2.powi(self.step as i32);
-        for i in 0..param.len() {
-            m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
-            v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            param[i] -= lr * (mhat / (vhat.sqrt() + eps) + weight_decay * param[i]);
-        }
+        (m, v)
+    }
+
+    /// The `(m, v)` moments registered under `param_id`, if any.
+    pub fn moments(&self, param_id: u64) -> Option<(&[f32], &[f32])> {
+        self.moments
+            .get(&param_id)
+            .map(|(m, v)| (m.as_slice(), v.as_slice()))
     }
 
     /// Exports the full optimizer state — the step counter plus every
@@ -160,6 +217,44 @@ impl AdamW {
             assert_eq!(m.len(), v.len(), "moment buffers for {id} differ in length");
             self.moments.insert(id, (m, v));
         }
+    }
+}
+
+/// One step's AdamW arithmetic, shared by [`AdamW::update`] and the
+/// staged [`AdamW::stage`] / [`AdamW::commit`] pair so both produce the
+/// same bits.
+struct Kernel {
+    cfg: AdamWConfig,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl Kernel {
+    fn new(cfg: AdamWConfig, step: u64) -> Self {
+        Kernel {
+            cfg,
+            bc1: 1.0 - cfg.beta1.powi(step as i32),
+            bc2: 1.0 - cfg.beta2.powi(step as i32),
+        }
+    }
+
+    fn m(&self, m: f32, g: f32) -> f32 {
+        self.cfg.beta1 * m + (1.0 - self.cfg.beta1) * g
+    }
+
+    fn v(&self, v: f32, g: f32) -> f32 {
+        self.cfg.beta2 * v + (1.0 - self.cfg.beta2) * g * g
+    }
+
+    fn param(&self, p: f32, m: f32, v: f32) -> f32 {
+        let AdamWConfig {
+            lr,
+            eps,
+            weight_decay,
+            ..
+        } = self.cfg;
+        let (mhat, vhat) = (m / self.bc1, v / self.bc2);
+        p - lr * (mhat / (vhat.sqrt() + eps) + weight_decay * p)
     }
 }
 
@@ -274,6 +369,34 @@ mod tests {
         }
         assert_eq!(w, w2, "resumed trajectory must match bitwise");
         assert_eq!(opt.steps(), resumed.steps());
+    }
+
+    #[test]
+    fn staged_steps_match_update_bitwise() {
+        let cfg = AdamWConfig {
+            lr: 0.05,
+            weight_decay: 0.1,
+            ..Default::default()
+        };
+        let (mut eager, mut staged) = (AdamW::new(cfg), AdamW::new(cfg));
+        let mut w = vec![1.0f32, -2.0, 0.5, 3.0];
+        let mut w2 = w.clone();
+        for step in 0..9 {
+            let g: Vec<f32> = w.iter().map(|&x| x * 0.3 - 0.1 * step as f32).collect();
+            eager.begin_step();
+            eager.update(0, &mut w, &g);
+            let before = staged.export_state();
+            staged.stage(0, &mut w2, &g);
+            assert_eq!(
+                staged.export_state(),
+                before,
+                "stage leaves state untouched"
+            );
+            staged.commit(0, &g);
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w), bits(&w2), "step {step}");
+            assert_eq!(eager.export_state(), staged.export_state(), "step {step}");
+        }
     }
 
     #[test]

@@ -116,6 +116,26 @@ if ! grep -q '^RUNTIME_RESUME_OK ' <<<"$out"; then
     exit 1
 fi
 
+echo "==> stepbench helper tests"
+cargo test -q --manifest-path stepbench/Cargo.toml
+
+echo "==> stepbench --trace 1 smoke (bench driver must stay bitwise equal to the Trainer)"
+# The traced pass replays every Trainer step through a driver built from
+# public calls and checks the two bit for bit (losses, traffic), then
+# checks that the per-layer ledger closes. A fresh --out keeps the run
+# hermetic. `|| true` so the checks echo before the grep gate fails.
+stepbench_out=target/experiments/stepbench-ci
+for workload in ulysses_dense llama_bf16_ac; do
+    rm -rf "$stepbench_out"
+    out=$(cargo run -q --release --offline --manifest-path stepbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 5 --trace 1 --out "$stepbench_out" || true)
+    echo "$out"
+    if ! grep -q '^{"correct": true' <<<"$out"; then
+        echo "FAIL: stepbench --trace 1 checks failed on $workload" >&2
+        exit 1
+    fi
+done
+
 echo "==> autotune --json --quick (calibrated planner must rank configs honestly)"
 # The autotune bench fits the simulator's cost constants from a real
 # probe run, searches the knob grid, then measures every candidate and

@@ -34,6 +34,8 @@
 
 use crate::runtime::dist::{train_traced, Mode, TrainConfig};
 use crate::runtime::options::RuntimeOptions;
+use crate::runtime::schedule::TileSchedule;
+use fpdt_attention::flops::{attention_tile_bwd_flops, attention_tile_fwd_flops};
 use fpdt_model::config::ModelConfig;
 use fpdt_sim::cost::CostConstants;
 use fpdt_sim::query::{PlannedWork, StepPlan};
@@ -420,7 +422,8 @@ pub fn calibrate(workload: &Workload) -> Calibration {
             .find(|c| c.chunks == anchor_chunks && !c.payload_bf16)
             .cloned();
         let Some(cell) = anchor_cell else { continue };
-        let serial_pred = plan_for(&constants, &cell, false, false, false, 1.0)
+        let sequential = TileSchedule::new(anchor_chunks, false);
+        let serial_pred = plan_for(&constants, &cell, &sequential, false, false, 1.0)
             .makespan(&constants)
             .expect("serial anchor plan prices")
             * 1e6;
@@ -434,7 +437,8 @@ pub fn calibrate(workload: &Workload) -> Calibration {
             probe_run(workload, steps, anchor_chunks, false, false, false, false);
         let serial_step_us = serial_wall_us / steps as f64;
         for balanced in [false, true] {
-            let dual_pred = plan_for(&constants, &cell, true, true, balanced, 1.0)
+            let schedule = TileSchedule::new(anchor_chunks, balanced);
+            let dual_pred = plan_for(&constants, &cell, &schedule, true, true, 1.0)
                 .makespan(&constants)
                 .expect("dual anchor plan prices")
                 * 1e6;
@@ -498,58 +502,51 @@ fn matmul_probe_us(threads: usize) -> f64 {
 }
 
 /// Builds the step plan of one candidate from its measured cell profile:
-/// `2 × chunks` pipeline stages — forward chunks then Figure-7 backward
-/// columns — each with a copy op, a comm op, and a kernel + residual
-/// compute pair that waits on its stage's transfers.
+/// the `2 × chunks` pipeline stages of `schedule` — forward chunks then
+/// backward slots — each with a copy op, a comm op, and a kernel +
+/// residual compute pair that waits on its stage's transfers.
 ///
-/// Per-stage transfer and kernel sizes follow the causal triangle rather
-/// than a flat mean: forward chunk `i` keep-fetches a *growing* KV
-/// prefix (weight `5 + 2i` pool ops) and computes `i + 1` tiles, while
-/// backward column `j` drains a *shrinking* sweep (weight
-/// `6 + 6(u - j)`, kernels `2.5 (u - j)` tiles). The weights are
-/// normalized against the measured per-step totals, so the serial plan
-/// still reproduces the probe exactly — only the per-stage distribution
-/// (what double buffering can or cannot hide at each slot) changes.
+/// Per-stage sizes are counted from the schedule the executor runs: a
+/// stage's copy share is its host-pool op count and its kernel share its
+/// tile count, backward tiles weighted by the backward/forward tile-FLOP
+/// ratio. The shares are normalized against
+/// the measured per-step totals, so the serial plan still reproduces the
+/// probe exactly — only the per-stage distribution (what double
+/// buffering can or cannot hide at each slot) changes.
 ///
-/// With `balanced` the backward stages flatten to their mean — the
-/// quota-spilled tile schedule's near-equal slots — and the lookahead
-/// dependency disappears: the balanced runtime posts every gather and
-/// take-fetch up-front instead of one stage ahead.
+/// Buffer dependencies follow the schedule's lookahead: with one post in
+/// flight a stage's transfers wait on the kernel two stages back, while
+/// a schedule that posts everything up-front has no such constraint.
 pub fn plan_for(
     constants: &CostConstants,
     cell: &CellProfile,
+    schedule: &TileSchedule,
     prefetch: bool,
     comm_async: bool,
-    balanced: bool,
     compute_scale: f64,
 ) -> StepPlan {
     let c = constants;
-    let u = cell.chunks.max(1);
+    let u = schedule.chunks;
+    debug_assert_eq!(u, cell.chunks, "schedule and cell describe one chunk count");
     let stages = 2 * u;
     let inv = 1.0 / stages as f64;
 
-    // Triangular per-stage weights (forward rising, backward falling).
-    let mut copy_w: Vec<f64> = Vec::with_capacity(stages);
-    let mut attn_w: Vec<f64> = Vec::with_capacity(stages);
-    for i in 0..u {
-        copy_w.push((5 + 2 * i) as f64);
-        attn_w.push((i + 1) as f64);
-    }
-    for j in 0..u {
-        copy_w.push((6 + 6 * (u - j)) as f64);
-        attn_w.push(2.5 * (u - j) as f64);
-    }
-    if balanced {
-        // The balanced schedule equalizes the backward slots (the forward
-        // triangle stays arrival-constrained by each chunk's own QKV, so
-        // its compute distribution cannot move).
-        let flatten = |w: &mut [f64]| {
-            let mean = w.iter().sum::<f64>() / w.len() as f64;
-            w.iter_mut().for_each(|x| *x = mean);
-        };
-        flatten(&mut copy_w[u..]);
-        flatten(&mut attn_w[u..]);
-    }
+    let bwd_tile_ratio =
+        attention_tile_bwd_flops(1, 1, 1, 1) as f64 / attention_tile_fwd_flops(1, 1, 1, 1) as f64;
+    let copy_w: Vec<f64> = schedule
+        .stage_pool_ops()
+        .iter()
+        .map(|ops| (ops.fetches + ops.offloads) as f64)
+        .collect();
+    let attn_w: Vec<f64> = schedule
+        .stage_tiles()
+        .iter()
+        .enumerate()
+        .map(|(stage, &tiles)| {
+            let ratio = if stage < u { 1.0 } else { bwd_tile_ratio };
+            ratio * tiles as f64
+        })
+        .collect();
     let copy_w_sum: f64 = copy_w.iter().sum();
     let attn_w_sum: f64 = attn_w.iter().sum();
 
@@ -564,16 +561,14 @@ pub fn plan_for(
     let mut plan = StepPlan::new(prefetch, comm_async);
     let mut attn_ids: Vec<usize> = Vec::new();
     for stage in 0..stages {
-        // Double-buffer lookahead of one: the sequential runtime posts
-        // stage `i`'s transfers while stage `i-1` computes, never all at
-        // t=0, so a stage's transfers wait on the kernel two stages back.
-        // This bounds predicted overlap at what Figure-13 double
-        // buffering can actually deliver. The balanced schedule's eager
-        // posting removes the constraint entirely.
-        let buffer_dep: Vec<usize> = if balanced || stage < 2 {
-            Vec::new()
-        } else {
-            vec![attn_ids[stage - 2]]
+        // Double-buffer lookahead of one: stage `i`'s transfers are
+        // posted while stage `i-1` computes, never all at t=0, so they
+        // wait on the kernel two stages back. This bounds predicted
+        // overlap at what Figure-13 double buffering can actually
+        // deliver. Posting all `u` up-front removes the constraint.
+        let buffer_dep: Vec<usize> = match stage.checked_sub(2) {
+            Some(back) if schedule.lookahead < u => vec![attn_ids[back]],
+            _ => Vec::new(),
         };
         let copy_bytes = (copy_bytes_total * copy_w[stage] / copy_w_sum) as u64;
         let mut deps = Vec::new();
@@ -635,9 +630,9 @@ pub fn predict_step_us(calibration: &Calibration, config: &CandidateConfig) -> f
         plan_for(
             &calibration.constants,
             cell,
+            &TileSchedule::new(config.chunks, balanced),
             prefetch,
             comm_async,
-            balanced,
             compute_scale,
         )
         .makespan(&calibration.constants)

@@ -49,8 +49,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Magic prefix of the sharded checkpoint format (version 2; version 1 is
-/// the legacy single-file parameter dump in [`GptModel::save_checkpoint`]).
+/// Magic prefix of the sharded checkpoint format (version 2).
 pub const SHARD_MAGIC: &[u8; 8] = b"FPDTCK02";
 
 /// Typed checkpoint failure. Every IO and decode path returns one of

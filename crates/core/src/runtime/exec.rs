@@ -13,6 +13,7 @@
 //!   Ulysses; with `chunks > 1` it is FPDT.
 
 use super::options::RuntimeOptions;
+use super::schedule::TileSchedule;
 use crate::chunk::ChunkPlan;
 use crate::offload::{BufKind, ChunkKey, FetchHandle, OffloadEngine, PoolStats};
 use fpdt_attention::online::{attention_block_bwd, rowwise_dot, OnlineAttention};
@@ -134,16 +135,6 @@ impl AttentionExec for LocalAttention {
     }
 }
 
-/// Whether the offload copy stream is enabled by default: `FPDT_PREFETCH`
-/// set to `0`/`false`/`off` disables it; anything else (including unset)
-/// enables it. Results are bitwise identical either way — the knob only
-/// moves transfer cost off the critical path.
-pub fn prefetch_default() -> bool {
-    // Shares RuntimeOptions' flag syntax and env entry point — this module
-    // never reads `std::env` itself (`env-outside-options`).
-    super::options::env_flag("FPDT_PREFETCH", true)
-}
-
 /// A posted all-to-all whose payload has not been needed yet. Posted ops
 /// carry the comm layer's typed error so transient faults stay
 /// distinguishable (and replayable) until the handle resolves.
@@ -155,25 +146,27 @@ type PendingQkv = Pending<fpdt_comm::Result<(Tensor, Tensor, Tensor)>>;
 /// offload behind an asynchronous double-buffered copy stream, Figure-7
 /// backward.
 ///
-/// The comm schedule mirrors the offload schedule: chunk `i+1`'s
-/// all-to-all is posted (one fused QKV op per chunk) before chunk `i`'s
-/// online-softmax update runs, and output/gradient chunks travel home as
-/// [`Pending`] handles resolved only when the caller concatenates. With
-/// `comm_async` off every post executes inline at the same program point,
-/// so the wire order — and therefore every statistic — is identical.
+/// The executor is one interpreter of a [`TileSchedule`]: the forward
+/// folds chunk `i`'s cached KV prefix in ascending order, and the backward
+/// walks the schedule's slots of `(q_chunk, kv_chunk)` tiles, staging each
+/// query row on its first tile and each KV column on its diagonal.
+/// `RuntimeOptions::balanced` only selects which schedule is interpreted:
+/// one KV column per slot with one-ahead posts (the paper's KV-outer /
+/// Q-inner nest), or the causal load-balanced slot assignment with every
+/// post up-front and a cross-chunk KV carry. Both keep every per-index
+/// accumulation order and every pool/comm operation count, so results and
+/// statistics are bitwise identical either way.
 ///
-/// With `balanced` on (`FPDT_BALANCE`, the default) the causal tile
-/// triangle is re-cut so every pipeline slot carries near-equal work:
-/// the forward posts all fused QKV ops up-front and carries each chunk's
-/// first KV fetch into the previous chunk's slot, and the backward walks
-/// [`balanced_slots`] instead of the row-by-row Figure-7 nest. Every
-/// per-index accumulation order — and every pool/comm operation count —
-/// is preserved, so results and statistics stay bitwise identical to the
-/// sequential schedule.
+/// Output and gradient chunks travel home as [`Pending`] handles posted
+/// the moment they finalize and resolved only when the caller
+/// concatenates. With `comm_async` off every post executes inline at the
+/// same program point, so the wire order — and therefore every statistic
+/// — is identical.
 pub struct DistAttention {
     comm: Arc<Communicator>,
     plan: ChunkPlan,
     opts: RuntimeOptions,
+    schedule: TileSchedule,
     host: OffloadEngine,
     engine: CommEngine,
     device: HashMap<ChunkKey, Arc<Tensor>>,
@@ -186,11 +179,6 @@ pub struct DistAttention {
 }
 
 impl DistAttention {
-    /// Creates the executor for one rank with environment-default options.
-    pub fn new(comm: Arc<Communicator>, plan: ChunkPlan, offload: bool) -> Self {
-        Self::with_opts(comm, plan, RuntimeOptions::from_env().with_offload(offload))
-    }
-
     /// Creates the executor for one rank with explicit options — the one
     /// options surface is [`RuntimeOptions`].
     pub fn with_opts(comm: Arc<Communicator>, plan: ChunkPlan, opts: RuntimeOptions) -> Self {
@@ -201,6 +189,7 @@ impl DistAttention {
         DistAttention {
             engine,
             comm,
+            schedule: TileSchedule::new(plan.chunks, opts.balanced),
             plan,
             opts,
             host,
@@ -399,48 +388,179 @@ impl DistAttention {
             }
         }))
     }
+}
 
-    /// The causal load-balanced backward (`FPDT_BALANCE`): the Figure-7
-    /// tile triangle re-cut into `u` near-equal slots while every
-    /// accumulator keeps its sequential update order.
-    ///
-    /// Three moves equalize the slots without touching numerics:
-    ///
-    /// * the per-chunk `dO` gathers and row-dot staging — a fully exposed
-    ///   serial drain in the sequential schedule — fuse into each query
-    ///   chunk's first tile, hidden behind other chunks' tiles;
-    /// * every KV chunk's take-fetch is issued up-front on the copy
-    ///   stream (the keys are distinct, so no chunk is ever fetched
-    ///   twice while in flight);
-    /// * tiles walk the triangle column-major — KV chunk `j`'s column in
-    ///   ascending query order — with [`balanced_slots`] spilling the
-    ///   long early columns into the short late slots.
-    ///
-    /// `dq_i` still accumulates its tiles in ascending `j` and
-    /// `dk_j`/`dv_j` theirs in ascending `i` — the same floating-point
-    /// order as the sequential nest, hence bitwise-identical gradients.
-    /// Every pool/comm operation runs exactly once with the same key, so
-    /// [`PoolStats`] and the comm counters are identical too.
-    fn backward_balanced(
+/// Looks up (or builds exactly once) the all-to-all layout for `shape`.
+/// Non-3-D shapes fall through to `build`, which reports the shape error.
+fn cached_layout(
+    map: &mut HashMap<[usize; 3], AllToAllLayout>,
+    shape: &[usize],
+    build: impl FnOnce() -> ExecResult<AllToAllLayout>,
+) -> ExecResult<AllToAllLayout> {
+    let Ok(key) = <[usize; 3]>::try_from(shape) else {
+        return build();
+    };
+    if let Some(l) = map.get(&key) {
+        return Ok(*l);
+    }
+    let l = build()?;
+    map.insert(key, l);
+    Ok(l)
+}
+
+/// Takes a pooled chunk back into exclusive ownership for in-place
+/// accumulation — free when the pool held the only reference.
+fn unshare(t: Arc<Tensor>) -> Tensor {
+    Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone())
+}
+
+impl AttentionExec for DistAttention {
+    fn forward(
         &mut self,
         layer: usize,
-        dout: &Tensor,
-    ) -> ExecResult<(Tensor, Tensor, Tensor)> {
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        pos: &[usize],
+    ) -> ExecResult<Tensor> {
+        let u = self.plan.chunks;
+        let c_loc = self.plan.chunk_local_len();
+        debug_assert_eq!(pos, self.plan.local_positions(self.comm.rank()).as_slice());
+        // The first `lookahead` fused QKV all-to-alls go on the wire
+        // before any compute, and chunk i+lookahead's is posted before
+        // chunk i's updates run. A lookahead of one hides each transfer
+        // behind the previous chunk's online softmax; the early slots are
+        // short (few KV tiles), so the balanced schedule posts all u
+        // up-front instead. Either way the FIFO order of fused QKV ops is
+        // ascending in i and the per-chunk online-softmax update order
+        // never changes, so results are bitwise identical. Output chunks
+        // travel home as soon as they finalize and are only resolved at
+        // the final concat.
+        let ahead = self.schedule.lookahead;
+        let mut o_handles: Vec<PendingTensor> = Vec::with_capacity(u);
+        let mut qkv_queue: VecDeque<PendingQkv> = VecDeque::with_capacity(u);
+        for i in 0..ahead {
+            let range = self.plan.local_chunk_range(i);
+            qkv_queue.push_back(self.post_qkv(q, k, v, range.start, c_loc)?);
+        }
+        // Cross-chunk KV carry (`carry_kv`): chunk i+1's first KV fetch is
+        // issued while chunk i is still computing, so no slot opens on an
+        // exposed transfer. Same fetch keys and counts either way — the
+        // copies just start one slot earlier.
+        let carry_kv = self.schedule.carry_kv;
+        let mut carry: Option<(FetchHandle, FetchHandle)> = None;
+        for i in 0..u {
+            let _slot = self.span("slot.fwd", 0);
+            let cur = qkv_queue.pop_front().ok_or("chunk i's QKV was not posted")?;
+            if i + ahead < u {
+                let range = self.plan.local_chunk_range(i + ahead);
+                qkv_queue.push_back(self.post_qkv(q, k, v, range.start, c_loc)?);
+            }
+            // Project chunk through the all-to-all: full heads/local seq ->
+            // local heads/gathered seq.
+            let (qh, kh, vh) = cur.wait()?;
+            let gpos = self.plan.gathered_positions(i);
+            let attn_span = self.span("attn.fwd.chunk", qh.data().len());
+            let qh = Arc::new(qh);
+            let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
+            // Stream previously cached KV chunks from host memory,
+            // double-buffered: chunk j+1's transfer is issued before chunk
+            // j's update runs, so the copy stream hides it behind compute
+            // (paper Figure 13).
+            let mut next = if i > 0 {
+                match carry.take() {
+                    Some(h) => Some(h),
+                    None => Some(self.fetch_kv(layer, 0, false)?),
+                }
+            } else {
+                None
+            };
+            for j in 0..i {
+                let cur = next.take().ok_or("KV chunk j was not prefetched")?;
+                next = if j + 1 < i {
+                    Some(self.fetch_kv(layer, j + 1, false)?)
+                } else {
+                    None
+                };
+                let (kj, vj) = (cur.0.wait(), cur.1.wait());
+                // The carry for chunk i+1, issued on the last inner tile
+                // only after `cur` resolved: when i == 1 this tile's
+                // handles ARE chunk 0's K/V keys, and the pool treats a
+                // second in-flight fetch of a key as a schedule bug.
+                if carry_kv && j + 1 == i && i + 1 < u {
+                    carry = Some(self.fetch_kv(layer, 0, false)?);
+                }
+                let _u = self.span("kernel.attn.update", kj.data().len());
+                st.update(&kj, &vj, &self.plan.gathered_positions(j))?;
+            }
+            {
+                let _u = self.span("kernel.attn.update", kh.data().len());
+                st.update(&kh, &vh, &gpos)?;
+            }
+            let (oi, lse) = {
+                let _f = self.span("kernel.attn.finalize", qh.data().len());
+                st.finalize()
+            };
+            drop(attn_span);
+            let oi = Arc::new(oi);
+            // Cache everything backward needs (Arc-shared: the O chunk put
+            // here is the same buffer the all-to-all below reads).
+            self.put(ChunkKey::new(layer, BufKind::Q, i), qh);
+            self.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
+            self.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
+            self.put(ChunkKey::new(layer, BufKind::O, i), Arc::clone(&oi));
+            let lse_len = oi.shape()[0] * oi.shape()[1];
+            self.put(
+                ChunkKey::new(layer, BufKind::Lse, i),
+                Arc::new(Tensor::from_vec(lse, &[lse_len])?),
+            );
+            // Chunk 0 has no inner tiles to hang the carry on; its K/V
+            // puts just above make chunk 0's cache fetchable, so the carry
+            // for chunk 1 is issued here.
+            if carry_kv && i == 0 && u > 1 {
+                carry = Some(self.fetch_kv(layer, 0, false)?);
+            }
+            // Gather heads back: the output chunk returns to local layout.
+            o_handles.push(self.post_inv(oi)?);
+        }
+        let mut o_parts: Vec<Tensor> = Vec::with_capacity(u);
+        for h in o_handles {
+            o_parts.push(h.wait()?);
+        }
+        let refs: Vec<&Tensor> = o_parts.iter().collect();
+        Ok(Tensor::concat(&refs, 0)?)
+    }
+
+    /// Figure-7 backward over the schedule's slots: each tile `(i, j)` is
+    /// the KV-outer/Q-inner nest's inner body, and `dq_i` accumulates its
+    /// tiles in ascending `j`, `dk_j`/`dv_j` theirs in ascending `i`,
+    /// under every slot assignment — hence bitwise-identical gradients.
+    /// Every pool/comm operation runs exactly once with the same key, so
+    /// [`PoolStats`] and the comm counters are assignment-independent too.
+    ///
+    /// Query row `i` is staged on its first tile `(i, 0)` (dO gather,
+    /// row-dots, zeroed DQ accumulator) and KV column `j` on its diagonal
+    /// `(j, j)`; a row is final after its diagonal, a column after its
+    /// tile `(u-1, j)`, and each final gradient chunk is posted home at
+    /// once.
+    fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
         let u = self.plan.chunks;
         let c_loc = self.plan.chunk_local_len();
         let scale = default_scale(dout.shape()[2]);
+        let ahead = self.schedule.lookahead;
+        let slots = self.schedule.slots.clone();
 
-        // Post every dO gather before any tile computes: most rows open
-        // in slot 0 (the balanced schedule front-loads first-column
-        // tiles) and the comm stream drains behind the whole triangle.
+        // The first `lookahead` dO gathers go on the wire before any tile
+        // computes, and row i's staging posts row i+lookahead's: with
+        // lookahead u the comm stream drains behind the whole triangle.
         // KV take-fetches stay staggered — column `s+1`'s pair goes on
         // the copy stream at the start of slot `s`, one slot before the
         // column can open — so the per-tile host-pool grabs never queue
         // behind the entire triangle's KV bytes on the FIFO stream.
-        let mut dout_pending: Vec<Option<PendingTensor>> = Vec::with_capacity(u);
-        for i in 0..u {
+        let mut dout_pending: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
+        for (i, pending) in dout_pending.iter_mut().enumerate().take(ahead) {
             let range = self.plan.local_chunk_range(i);
-            dout_pending.push(Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?));
+            *pending = Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?);
         }
         let mut kv_pending: Vec<Option<(FetchHandle, FetchHandle)>> = (0..u).map(|_| None).collect();
         kv_pending[0] = Some(self.fetch_kv(layer, 0, true)?);
@@ -459,16 +579,19 @@ impl DistAttention {
         let mut dk_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
         let mut dv_handles: Vec<Option<PendingTensor>> = (0..u).map(|_| None).collect();
 
-        for (s, slot) in balanced_slots(u).into_iter().enumerate() {
+        for (s, slot) in slots.into_iter().enumerate() {
             let _slot = self.span("slot.bwd", 0);
-            if s + 1 < u && cols[s + 1].is_none() && kv_pending[s + 1].is_none() {
+            if s + 1 < u {
                 kv_pending[s + 1] = Some(self.fetch_kv(layer, s + 1, true)?);
             }
             for (i, j) in slot {
                 if j == 0 {
-                    // First tile of query chunk i: stage its row inputs —
-                    // the sequential schedule's stage-1 body, verbatim,
-                    // now lazily fused into the tile sweep.
+                    // First tile of query chunk i: stage its row inputs.
+                    if i + ahead < u {
+                        let range = self.plan.local_chunk_range(i + ahead);
+                        dout_pending[i + ahead] =
+                            Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?);
+                    }
                     let pending = dout_pending[i].take().ok_or("chunk i's dO was not posted")?;
                     let doh = Arc::new(pending.wait()?);
                     let oi = self.keep(ChunkKey::new(layer, BufKind::O, i))?;
@@ -500,8 +623,10 @@ impl DistAttention {
                         dv,
                     });
                 }
-                // The tile body is the sequential inner loop's, unchanged:
-                // chunk i's saved state is consumed on its diagonal tile.
+                // Chunk i's saved state is consumed on its diagonal tile,
+                // its last use. The O cache was only needed for the
+                // row-dots; freeing it is not a transfer, so it must not
+                // run through the fetch path.
                 let consume = i == j;
                 let qi = self.grab(ChunkKey::new(layer, BufKind::Q, i), consume)?;
                 let doh = self.grab(ChunkKey::new(layer, BufKind::DOut, i), consume)?;
@@ -552,299 +677,6 @@ impl DistAttention {
             for h in handles {
                 parts.push(h.ok_or("gradient chunk was never finalized")?.wait()?);
             }
-            let refs: Vec<&Tensor> = parts.iter().collect();
-            Ok(Tensor::concat(&refs, 0)?)
-        };
-        Ok((cat(dq_handles)?, cat(dk_handles)?, cat(dv_handles)?))
-    }
-}
-
-/// Looks up (or builds exactly once) the all-to-all layout for `shape`.
-/// Non-3-D shapes fall through to `build`, which reports the shape error.
-fn cached_layout(
-    map: &mut HashMap<[usize; 3], AllToAllLayout>,
-    shape: &[usize],
-    build: impl FnOnce() -> ExecResult<AllToAllLayout>,
-) -> ExecResult<AllToAllLayout> {
-    let Ok(key) = <[usize; 3]>::try_from(shape) else {
-        return build();
-    };
-    if let Some(l) = map.get(&key) {
-        return Ok(*l);
-    }
-    let l = build()?;
-    map.insert(key, l);
-    Ok(l)
-}
-
-/// Takes a pooled chunk back into exclusive ownership for in-place
-/// accumulation — free when the pool held the only reference.
-fn unshare(t: Arc<Tensor>) -> Tensor {
-    Arc::try_unwrap(t).unwrap_or_else(|a| (*a).clone())
-}
-
-/// Cuts the causal tile triangle `{(i, j) : j <= i < u}` into `u`
-/// near-equal pipeline slots (sizes differ by at most one tile).
-///
-/// Tiles are queued column-major — KV chunk `j`'s column `(j..u, j)`
-/// opens at slot `j`, diagonal first — and each slot `s` takes
-/// `ceil(remaining / (u - s))` tiles from the queue front. Because
-/// columns are appended in order and the queue is FIFO, the flattened
-/// schedule preserves both accumulation orders the kernels rely on: for
-/// fixed `i` tiles run in ascending `j`, for fixed `j` in ascending `i`.
-/// Query chunk `i`'s first tile is always `(i, 0)` and column `j` always
-/// opens with its diagonal `(j, j)` — exactly what the executor's lazy
-/// row/column staging keys on.
-fn balanced_slots(u: usize) -> Vec<Vec<(usize, usize)>> {
-    let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
-    let mut slots: Vec<Vec<(usize, usize)>> = Vec::with_capacity(u);
-    let mut remaining = u * (u + 1) / 2;
-    for s in 0..u {
-        for i in s..u {
-            queue.push_back((i, s));
-        }
-        let quota = if s + 1 == u {
-            queue.len()
-        } else {
-            remaining.div_ceil(u - s).min(queue.len())
-        };
-        let slot: Vec<(usize, usize)> = queue.drain(..quota).collect();
-        remaining -= slot.len();
-        slots.push(slot);
-    }
-    slots
-}
-
-impl AttentionExec for DistAttention {
-    fn forward(
-        &mut self,
-        layer: usize,
-        q: &Tensor,
-        k: &Tensor,
-        v: &Tensor,
-        pos: &[usize],
-    ) -> ExecResult<Tensor> {
-        let u = self.plan.chunks;
-        let c_loc = self.plan.chunk_local_len();
-        debug_assert_eq!(pos, self.plan.local_positions(self.comm.rank()).as_slice());
-        // Chunk 0's QKV all-to-all goes on the wire before any compute;
-        // inside the loop chunk i+1's is posted before chunk i's updates
-        // run, so the stream hides each transfer behind the previous
-        // chunk's online softmax. The balanced schedule posts every fused
-        // QKV up-front instead: the early slots are short (few KV tiles),
-        // so a one-chunk lookahead cannot hide the wire time there, but
-        // queue depth u can. Either way the FIFO order of fused QKV ops
-        // is ascending in i and the per-chunk online-softmax update order
-        // never changes, so results are bitwise identical. Output chunks
-        // travel home the same way in both modes: the inverse all-to-all
-        // is posted as soon as a chunk finalizes and only resolved at the
-        // final concat.
-        let mut o_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-        let mut qkv_queue: VecDeque<PendingQkv> = VecDeque::with_capacity(u);
-        let posted_ahead = if self.opts.balanced { u } else { 1.min(u) };
-        for i in 0..posted_ahead {
-            let range = self.plan.local_chunk_range(i);
-            qkv_queue.push_back(self.post_qkv(q, k, v, range.start, c_loc)?);
-        }
-        // Cross-chunk KV carry (balanced only): chunk i+1's first KV fetch
-        // is issued while chunk i is still computing, so no slot opens on
-        // an exposed transfer. Same fetch keys and counts as the
-        // sequential schedule — the copies just start one slot earlier.
-        let mut carry: Option<(FetchHandle, FetchHandle)> = None;
-        for i in 0..u {
-            let _slot = self.span("slot.fwd", 0);
-            let cur = qkv_queue.pop_front().ok_or("chunk i's QKV was not posted")?;
-            if !self.opts.balanced && i + 1 < u {
-                let range = self.plan.local_chunk_range(i + 1);
-                qkv_queue.push_back(self.post_qkv(q, k, v, range.start, c_loc)?);
-            }
-            // Project chunk through the all-to-all: full heads/local seq ->
-            // local heads/gathered seq.
-            let (qh, kh, vh) = cur.wait()?;
-            let gpos = self.plan.gathered_positions(i);
-            let attn_span = self.span("attn.fwd.chunk", qh.data().len());
-            let qh = Arc::new(qh);
-            let mut st = OnlineAttention::new_shared(Arc::clone(&qh), &gpos, None)?;
-            // Stream previously cached KV chunks from host memory,
-            // double-buffered: chunk j+1's transfer is issued before chunk
-            // j's update runs, so the copy stream hides it behind compute
-            // (paper Figure 13).
-            let mut next = if i > 0 {
-                match carry.take() {
-                    Some(h) => Some(h),
-                    None => Some(self.fetch_kv(layer, 0, false)?),
-                }
-            } else {
-                None
-            };
-            for j in 0..i {
-                let cur = next.take().ok_or("KV chunk j was not prefetched")?;
-                next = if j + 1 < i {
-                    Some(self.fetch_kv(layer, j + 1, false)?)
-                } else {
-                    None
-                };
-                let (kj, vj) = (cur.0.wait(), cur.1.wait());
-                // Balanced carry for chunk i+1, issued on the last inner
-                // tile only after `cur` resolved: when i == 1 this tile's
-                // handles ARE chunk 0's K/V keys, and the pool treats a
-                // second in-flight fetch of a key as a schedule bug.
-                if self.opts.balanced && j + 1 == i && i + 1 < u {
-                    carry = Some(self.fetch_kv(layer, 0, false)?);
-                }
-                let _u = self.span("kernel.attn.update", kj.data().len());
-                st.update(&kj, &vj, &self.plan.gathered_positions(j))?;
-            }
-            {
-                let _u = self.span("kernel.attn.update", kh.data().len());
-                st.update(&kh, &vh, &gpos)?;
-            }
-            let (oi, lse) = {
-                let _f = self.span("kernel.attn.finalize", qh.data().len());
-                st.finalize()
-            };
-            drop(attn_span);
-            let oi = Arc::new(oi);
-            // Cache everything backward needs (Arc-shared: the O chunk put
-            // here is the same buffer the all-to-all below reads).
-            self.put(ChunkKey::new(layer, BufKind::Q, i), qh);
-            self.put(ChunkKey::new(layer, BufKind::K, i), Arc::new(kh));
-            self.put(ChunkKey::new(layer, BufKind::V, i), Arc::new(vh));
-            self.put(ChunkKey::new(layer, BufKind::O, i), Arc::clone(&oi));
-            let lse_len = oi.shape()[0] * oi.shape()[1];
-            self.put(
-                ChunkKey::new(layer, BufKind::Lse, i),
-                Arc::new(Tensor::from_vec(lse, &[lse_len])?),
-            );
-            // Chunk 0 has no inner tiles to hang the carry on; its K/V
-            // puts just above make chunk 0's cache fetchable, so the carry
-            // for chunk 1 is issued here.
-            if self.opts.balanced && i == 0 && u > 1 {
-                carry = Some(self.fetch_kv(layer, 0, false)?);
-            }
-            // Gather heads back: the output chunk returns to local layout.
-            o_handles.push(self.post_inv(oi)?);
-        }
-        let mut o_parts: Vec<Tensor> = Vec::with_capacity(u);
-        for h in o_handles {
-            o_parts.push(h.wait()?);
-        }
-        let refs: Vec<&Tensor> = o_parts.iter().collect();
-        Ok(Tensor::concat(&refs, 0)?)
-    }
-
-    fn backward(&mut self, layer: usize, dout: &Tensor) -> ExecResult<(Tensor, Tensor, Tensor)> {
-        if self.opts.balanced {
-            return self.backward_balanced(layer, dout);
-        }
-        let u = self.plan.chunks;
-        let c_loc = self.plan.chunk_local_len();
-        let scale = default_scale(dout.shape()[2]);
-
-        // Stage: gather dO per chunk, compute the D row-dots, zero the dq
-        // accumulators. Chunk i+1's gather is posted before chunk i's
-        // row-dot runs — the same double-buffer shape as the forward.
-        let mut next_dout = Some(self.post_fwd(dout.narrow(0, self.plan.local_chunk_range(0).start, c_loc)?)?);
-        for i in 0..u {
-            let cur = next_dout.take().ok_or("chunk i's dO was not posted")?;
-            if i + 1 < u {
-                let range = self.plan.local_chunk_range(i + 1);
-                next_dout = Some(self.post_fwd(dout.narrow(0, range.start, c_loc)?)?);
-            }
-            let doh = Arc::new(cur.wait()?);
-            let oi = self.keep(ChunkKey::new(layer, BufKind::O, i))?;
-            let dsum = {
-                let _s = self.span("kernel.attn.rowwise_dot", oi.data().len());
-                rowwise_dot(&oi, &doh)?
-            };
-            let n = dsum.len();
-            let zeros = Tensor::zeros(doh.shape());
-            self.put(ChunkKey::new(layer, BufKind::DOut, i), doh);
-            self.put(
-                ChunkKey::new(layer, BufKind::Dsum, i),
-                Arc::new(Tensor::from_vec(dsum, &[n])?),
-            );
-            self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(zeros));
-        }
-
-        // Gradient chunks leave on the stream the moment they are final
-        // and are only resolved for the concatenation at the very end, so
-        // every inverse all-to-all overlaps the remaining tile sweeps.
-        let mut dq_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-        let mut dk_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-        let mut dv_handles: Vec<PendingTensor> = Vec::with_capacity(u);
-
-        // Figure 7: outer loop on KV chunks, inner on query chunks. Each
-        // KV chunk is fetched exactly once per outer iteration, and chunk
-        // j+1's transfer is issued before chunk j's inner sweep so the
-        // whole sweep hides it.
-        let mut next_kv = Some(self.fetch_kv(layer, 0, true)?);
-        for j in 0..u {
-            let _slot = self.span("slot.bwd", 0);
-            let cur = next_kv.take().ok_or("KV chunk j was not prefetched")?;
-            next_kv = if j + 1 < u {
-                Some(self.fetch_kv(layer, j + 1, true)?)
-            } else {
-                None
-            };
-            let (kj, vj) = (cur.0.wait(), cur.1.wait());
-            let gpos_j = self.plan.gathered_positions(j);
-            let mut dk_j = Tensor::zeros(kj.shape());
-            let mut dv_j = Tensor::zeros(vj.shape());
-            for i in j..u {
-                // Last use of chunk i's saved state is the diagonal tile
-                // (i == j): consume it then, otherwise read-and-keep.
-                let consume = i == j;
-                let qi = self.grab(ChunkKey::new(layer, BufKind::Q, i), consume)?;
-                let doh = self.grab(ChunkKey::new(layer, BufKind::DOut, i), consume)?;
-                let lse = self.grab(ChunkKey::new(layer, BufKind::Lse, i), consume)?;
-                let dsum = self.grab(ChunkKey::new(layer, BufKind::Dsum, i), consume)?;
-                // The O cache was only needed for dsum; freeing it is not a
-                // transfer, so it must not run through the fetch path.
-                if consume {
-                    self.discard_one(ChunkKey::new(layer, BufKind::O, i));
-                }
-                let mut dq_i = unshare(self.take(ChunkKey::new(layer, BufKind::DQ, i))?);
-                {
-                    // Scoped so the compute span closes before the DQ
-                    // re-put below — transfers must not nest inside
-                    // compute spans or the overlap metric counts a
-                    // serial runtime as overlapped.
-                    let _tile = self.span("attn.bwd.tile", qi.data().len());
-                    attention_block_bwd(
-                        &qi,
-                        &kj,
-                        &vj,
-                        &doh,
-                        lse.data(),
-                        dsum.data(),
-                        &self.plan.gathered_positions(i),
-                        &gpos_j,
-                        scale,
-                        &mut dq_i,
-                        &mut dk_j,
-                        &mut dv_j,
-                    )?;
-                }
-                if consume {
-                    // dq_j is final after its first inner iteration: ship it
-                    // home with the same all-to-all as dk_j/dv_j below.
-                    dq_handles.push(self.post_inv(Arc::new(dq_i))?);
-                } else {
-                    self.put(ChunkKey::new(layer, BufKind::DQ, i), Arc::new(dq_i));
-                }
-            }
-            // dK_j/dV_j are final once the inner sweep ends (no later outer
-            // iteration touches chunk j): all-to-all back to local layout.
-            dk_handles.push(self.post_inv(Arc::new(dk_j))?);
-            dv_handles.push(self.post_inv(Arc::new(dv_j))?);
-        }
-
-        let cat = |handles: Vec<PendingTensor>| -> ExecResult<Tensor> {
-            let parts = handles
-                .into_iter()
-                .map(Pending::wait)
-                .collect::<fpdt_comm::Result<Vec<Tensor>>>()?;
             let refs: Vec<&Tensor> = parts.iter().collect();
             Ok(Tensor::concat(&refs, 0)?)
         };
@@ -1139,28 +971,56 @@ mod tests {
         dist_matches_reference(4, 2, true);
     }
 
-    #[test]
-    fn backward_frees_all_cached_chunks() {
-        // After backward, the host pool must be empty — the Figure-7 nest
-        // consumes every cached chunk exactly once.
+    /// Per-rank transfer audit of one layer's forward + backward.
+    struct Audit {
+        after_fwd: PoolStats,
+        posted_fwd: u64,
+        after_bwd: PoolStats,
+        posted_bwd: u64,
+        empty: bool,
+    }
+
+    /// Runs one layer on 2 ranks with offload on, `chunks` chunks (a
+    /// divisor of 8) and the given slot assignment.
+    fn audited_layer(seed: u64, chunks: usize, balanced: bool) -> Vec<Audit> {
         let (s, h, d) = (16, 2, 4);
-        let (q, k, v) = rand_qkv(9, s, h, d);
+        let (q, k, v) = rand_qkv(seed, s, h, d);
         let dout = Tensor::ones(&[s / 2, h, d]);
-        let empty = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, 4).unwrap();
+        run_group(2, |comm| {
+            let plan = ChunkPlan::new(s, 2, chunks).unwrap();
             let pos = plan.local_positions(comm.rank());
             let shard = |t: &Tensor| {
                 let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
                 let refs: Vec<&Tensor> = parts.iter().collect();
                 Tensor::concat(&refs, 0).unwrap()
             };
-            let mut ex = DistAttention::new(Arc::new(comm), plan, true);
+            let opts = RuntimeOptions::from_env()
+                .with_offload(true)
+                .with_balanced(balanced);
+            let mut ex = DistAttention::with_opts(Arc::new(comm), plan, opts);
             ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
                 .unwrap();
+            let (after_fwd, posted_fwd) = (ex.host_stats(), ex.comm_posted());
             ex.backward(0, &dout).unwrap();
-            ex.host.is_empty()
-        });
-        assert!(empty.iter().all(|&e| e));
+            Audit {
+                after_fwd,
+                posted_fwd,
+                after_bwd: ex.host_stats(),
+                posted_bwd: ex.comm_posted(),
+                empty: ex.host.is_empty(),
+            }
+        })
+    }
+
+    #[test]
+    fn backward_frees_all_cached_chunks() {
+        // After backward, the host pool must be empty — the Figure-7 nest
+        // consumes every cached chunk exactly once, under either slot
+        // assignment.
+        for balanced in [false, true] {
+            let audits = audited_layer(9, 4, balanced);
+            assert!(audits.iter().all(|a| a.empty), "balanced={balanced}");
+        }
     }
 
     #[test]
@@ -1174,34 +1034,18 @@ mod tests {
         //             u(u+1)/2 tiles.
         // The dead-O drop on the diagonal is a discard, NOT a fetch — if it
         // leaked into the fetch path the backward count would gain +u.
-        let u = 4usize;
-        let (s, h, d) = (16, 2, 4);
-        let (q, k, v) = rand_qkv(11, s, h, d);
-        let dout = Tensor::ones(&[s / 2, h, d]);
-        let counts = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, u).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
-            let mut ex = DistAttention::new(Arc::new(comm), plan, true);
-            ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                .unwrap();
-            let after_fwd = ex.host_stats();
-            ex.backward(0, &dout).unwrap();
-            (after_fwd, ex.host_stats())
-        });
+        let u = 4;
         let tiles = u * (u + 1) / 2;
-        for (after_fwd, after_bwd) in counts {
-            assert_eq!(after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches");
-            assert_eq!(
-                after_bwd.fetches - after_fwd.fetches,
-                (u + 2 * u + 5 * tiles) as u64,
-                "backward fetches (KV exactly once per outer iteration)"
-            );
-            assert!(after_bwd.bytes_fetched > 0 && after_bwd.bytes_offloaded > 0);
+        for balanced in [false, true] {
+            for a in audited_layer(11, u, balanced) {
+                assert_eq!(a.after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches");
+                assert_eq!(
+                    a.after_bwd.fetches - a.after_fwd.fetches,
+                    (u + 2 * u + 5 * tiles) as u64,
+                    "backward fetches (KV exactly once per outer iteration), balanced={balanced}"
+                );
+                assert!(a.after_bwd.bytes_fetched > 0 && a.after_bwd.bytes_offloaded > 0);
+            }
         }
     }
 
@@ -1263,36 +1107,6 @@ mod tests {
     }
 
     #[test]
-    fn balanced_slots_cover_the_triangle_in_accumulation_order() {
-        for u in 1..=8usize {
-            let slots = balanced_slots(u);
-            assert_eq!(slots.len(), u, "one slot per chunk (u={u})");
-            let sizes: Vec<usize> = slots.iter().map(Vec::len).collect();
-            let min = sizes.iter().copied().min().unwrap();
-            let max = sizes.iter().copied().max().unwrap();
-            assert!(
-                min >= 1 && max - min <= 1,
-                "near-equal slot sizes (u={u}): {sizes:?}"
-            );
-            let flat: Vec<(usize, usize)> = slots.into_iter().flatten().collect();
-            assert_eq!(flat.len(), u * (u + 1) / 2, "every tile scheduled (u={u})");
-            let mut seen = std::collections::HashSet::new();
-            // Row i must sweep KV ascending from 0; column j must sweep
-            // queries ascending from its diagonal j.
-            let mut next_j = vec![0usize; u];
-            let mut next_i: Vec<usize> = (0..u).collect();
-            for (i, j) in flat {
-                assert!(j <= i && i < u, "causal tile ({i},{j})");
-                assert!(seen.insert((i, j)), "tile ({i},{j}) duplicated");
-                assert_eq!(j, next_j[i], "row {i} sweeps KV in ascending order");
-                assert_eq!(i, next_i[j], "column {j} sweeps queries in ascending order");
-                next_j[i] += 1;
-                next_i[j] += 1;
-            }
-        }
-    }
-
-    #[test]
     fn balanced_and_sequential_schedules_are_bitwise_identical() {
         // FPDT_BALANCE re-cuts the tile triangle but never reorders any
         // accumulator's updates or adds/removes a transfer: outputs,
@@ -1344,44 +1158,45 @@ mod tests {
 
     #[test]
     fn balanced_schedule_keeps_transfer_and_post_counts() {
-        // The balanced schedule reorders work, never adds any: the exact
-        // fetch formulas audited for the sequential Figure-7 nest must
-        // hold, and the comm stream still sees one fused QKV + one output
-        // post per chunk forward (2u) and u dO + 3u gradient posts in the
-        // backward (6u cumulative).
-        let u = 4usize;
-        let (s, h, d) = (16, 2, 4);
-        let (q, k, v) = rand_qkv(33, s, h, d);
-        let dout = Tensor::ones(&[s / 2, h, d]);
-        let counts = run_group(2, |comm| {
-            let plan = ChunkPlan::new(s, 2, u).unwrap();
-            let pos = plan.local_positions(comm.rank());
-            let shard = |t: &Tensor| {
-                let parts: Vec<Tensor> = pos.iter().map(|&p| t.narrow(0, p, 1).unwrap()).collect();
-                let refs: Vec<&Tensor> = parts.iter().collect();
-                Tensor::concat(&refs, 0).unwrap()
-            };
-            let opts = RuntimeOptions::from_env()
-                .with_offload(true)
-                .with_balanced(true);
-            let mut ex = DistAttention::with_opts(Arc::new(comm), plan, opts);
-            ex.forward(0, &shard(&q), &shard(&k), &shard(&v), &pos)
-                .unwrap();
-            let fwd = (ex.host_stats(), ex.comm_posted());
-            ex.backward(0, &dout).unwrap();
-            (fwd, ex.host_stats(), ex.comm_posted(), ex.host.is_empty())
-        });
+        // Either slot assignment reorders work, never adds any: the exact
+        // fetch formulas audited for the Figure-7 nest hold, and the comm
+        // stream sees one fused QKV + one output post per chunk forward
+        // (2u) and u dO + 3u gradient posts in the backward (6u
+        // cumulative).
+        let u = 4;
         let tiles = u * (u + 1) / 2;
-        for ((after_fwd, posted_fwd), after_bwd, posted_bwd, empty) in counts {
-            assert_eq!(after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches");
-            assert_eq!(posted_fwd, (2 * u) as u64, "one fused QKV + one O post per chunk");
-            assert_eq!(
-                after_bwd.fetches - after_fwd.fetches,
-                (u + 2 * u + 5 * tiles) as u64,
-                "backward fetches (KV exactly once per column)"
-            );
-            assert_eq!(posted_bwd, (6 * u) as u64, "u dO + u dq + u dk + u dv posts");
-            assert!(empty, "every cached chunk consumed");
+        for balanced in [false, true] {
+            for a in audited_layer(33, u, balanced) {
+                assert_eq!(a.after_fwd.fetches, (u * (u - 1)) as u64, "forward fetches");
+                assert_eq!(a.posted_fwd, (2 * u) as u64, "one fused QKV + one O post per chunk");
+                assert_eq!(
+                    a.after_bwd.fetches - a.after_fwd.fetches,
+                    (u + 2 * u + 5 * tiles) as u64,
+                    "backward fetches (KV exactly once per column), balanced={balanced}"
+                );
+                assert_eq!(a.posted_bwd, (6 * u) as u64, "u dO + u dq + u dk + u dv posts");
+                assert!(a.empty, "every cached chunk consumed");
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_pool_ops_match_measured_pool_stats() {
+        // What the autotuner prices is what the runtime runs: the
+        // schedule's per-stage pool ops sum to the measured PoolStats.
+        let sum = |ops: &[crate::runtime::schedule::PoolOps]| {
+            ops.iter().fold((0, 0), |(f, o), p| (f + p.fetches, o + p.offloads))
+        };
+        for u in [1, 2, 4, 8] {
+            for balanced in [false, true] {
+                let ops = TileSchedule::new(u, balanced).stage_pool_ops();
+                for a in audited_layer(35, u, balanced) {
+                    let fwd = (a.after_fwd.fetches, a.after_fwd.offloads);
+                    let all = (a.after_bwd.fetches, a.after_bwd.offloads);
+                    assert_eq!(sum(&ops[..u]), fwd, "forward stages, u={u} balanced={balanced}");
+                    assert_eq!(sum(&ops), all, "all stages, u={u} balanced={balanced}");
+                }
+            }
         }
     }
 

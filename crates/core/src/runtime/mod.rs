@@ -9,6 +9,8 @@
 //!   (per-chunk all-to-all + streaming attention + host offload +
 //!   Figure-7 nested backward).
 //! * [`exec`] — those attention executors.
+//! * [`schedule`] — the FPDT [`TileSchedule`](schedule::TileSchedule):
+//!   one tile order that [`exec`] runs and [`autotune`](mod@autotune) prices.
 //! * [`dist`] — the multi-threaded trainer that reproduces paper
 //!   Figure 14: baseline and FPDT loss curves coincide.
 //! * [`options`] — [`RuntimeOptions`], the single builder behind every
@@ -27,6 +29,7 @@ pub mod dist;
 pub mod exec;
 pub mod gpt;
 pub mod options;
+pub mod schedule;
 
 pub use autotune::{autotune, AutotuneOutcome, Calibration, CandidateConfig, Workload};
 pub use ckpt::{Checkpointable, CkptError, StateDict, StateValue};

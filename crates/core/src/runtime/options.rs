@@ -89,12 +89,16 @@ pub struct RuntimeOptions {
     /// stream, so chunk `i+1`'s wire time hides behind chunk `i`'s
     /// compute. `FPDT_COMM_ASYNC`.
     pub comm_async: bool,
-    /// Causal load-balanced tile schedule (`FPDT_BALANCE`): the executor
-    /// decomposes each chunk's attention into `(q_chunk, kv_chunk)` tiles
-    /// and equalizes per-slot work — eager fused-QKV posts, cross-chunk
-    /// KV prefetch, and a quota-spilled Figure-7 backward. Every
-    /// accumulation order is preserved, so results, `PoolStats`, and
-    /// `CommStats` are bitwise identical to the sequential schedule.
+    /// Which slot assignment the one tile-schedule interpreter runs
+    /// (`FPDT_BALANCE`; see [`TileSchedule`]). On: the causal
+    /// load-balanced assignment, with near-equal `(q_chunk, kv_chunk)`
+    /// tiles per slot, every fused-QKV and `dO` post up-front and a
+    /// cross-chunk KV prefetch. Off: the paper's one KV column per slot,
+    /// with one-ahead posts. Every accumulation order is preserved, so
+    /// results, `PoolStats` and `CommStats` are bitwise identical either
+    /// way.
+    ///
+    /// [`TileSchedule`]: super::schedule::TileSchedule
     pub balanced: bool,
     /// Move HostPool-offloaded KV chunks and all-to-all payloads as bf16
     /// (half the wire bytes; compute stays f32). `FPDT_BF16`. The one

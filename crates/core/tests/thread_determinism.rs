@@ -13,6 +13,7 @@ use fpdt_core::chunk::ChunkPlan;
 use fpdt_core::runtime::data::Corpus;
 use fpdt_core::runtime::exec::DistAttention;
 use fpdt_core::runtime::gpt::GptModel;
+use fpdt_core::runtime::RuntimeOptions;
 use fpdt_comm::run_group;
 use fpdt_model::config::ModelConfig;
 use fpdt_tensor::par;
@@ -62,7 +63,11 @@ fn grad_run(seed: u64, world: usize, chunks: usize, offload: bool) -> Vec<(f32, 
             plan.local_positions(rank),
         );
         let mut model = GptModel::new(&model_cfg, seed);
-        let mut exec = DistAttention::new(std::sync::Arc::new(comm), plan, offload);
+        let mut exec = DistAttention::with_opts(
+            std::sync::Arc::new(comm),
+            plan,
+            RuntimeOptions::from_env().with_offload(offload),
+        );
         model.zero_grad();
         let stats = model
             .forward_backward(&mut exec, &tokens, &targets, &pos, 2 * chunks, 2)

@@ -69,52 +69,10 @@ pub struct ChunkKey {
     pub chunk: usize,
 }
 
-impl BufKind {
-    /// Stable numeric code — the serialization order checkpoints use.
-    /// Appending new kinds at the end keeps existing shard files readable.
-    pub fn code(self) -> u8 {
-        match self {
-            BufKind::Q => 0,
-            BufKind::K => 1,
-            BufKind::V => 2,
-            BufKind::O => 3,
-            BufKind::Lse => 4,
-            BufKind::DQ => 5,
-            BufKind::DOut => 6,
-            BufKind::Dsum => 7,
-            BufKind::Hidden => 8,
-            BufKind::Ctx => 9,
-        }
-    }
-
-    /// Inverse of [`BufKind::code`].
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => BufKind::Q,
-            1 => BufKind::K,
-            2 => BufKind::V,
-            3 => BufKind::O,
-            4 => BufKind::Lse,
-            5 => BufKind::DQ,
-            6 => BufKind::DOut,
-            7 => BufKind::Dsum,
-            8 => BufKind::Hidden,
-            9 => BufKind::Ctx,
-            _ => return None,
-        })
-    }
-}
-
 impl ChunkKey {
     /// Convenience constructor.
     pub fn new(layer: usize, kind: BufKind, chunk: usize) -> Self {
         ChunkKey { layer, kind, chunk }
-    }
-
-    /// Deterministic sort key (`layer`, [`BufKind::code`], `chunk`) — the
-    /// order checkpointed residency entries are written in.
-    pub fn sort_key(&self) -> (usize, u8, usize) {
-        (self.layer, self.kind.code(), self.chunk)
     }
 }
 
@@ -354,32 +312,9 @@ impl HostPool {
         self.store.is_empty()
     }
 
-    /// Reads a resident chunk without transferring it: no counters move,
-    /// no eviction. This is the checkpoint path — serializing residency
-    /// must not perturb the transfer statistics the determinism suite
-    /// compares.
-    pub fn peek(&self, key: &ChunkKey) -> Option<&HostChunk> {
-        self.store.get(key)
-    }
-
-    /// Every resident key in deterministic [`ChunkKey::sort_key`] order —
-    /// the iteration order checkpoint shards serialize residency in.
-    pub fn resident_keys(&self) -> Vec<ChunkKey> {
-        let mut keys: Vec<ChunkKey> = self.store.keys().copied().collect();
-        keys.sort_by_key(|k| k.sort_key());
-        keys
-    }
-
     /// Transfer and residency counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    /// Drops everything (end of a training step) but keeps cumulative
-    /// transfer counters.
-    pub fn clear(&mut self) {
-        self.store.clear();
-        self.stats.bytes = 0;
     }
 }
 
@@ -728,18 +663,6 @@ mod tests {
         let c = pool.fetch(&key).unwrap();
         assert!(Arc::ptr_eq(&c, &t));
         assert_eq!(pool.stats().fetches, 3);
-    }
-
-    #[test]
-    fn clear_resets_residency_not_counters() {
-        let mut pool = HostPool::new();
-        pool.offload(ChunkKey::new(0, BufKind::Hidden, 0), Tensor::zeros(&[5]));
-        pool.clear();
-        assert!(pool.is_empty());
-        assert_eq!(pool.stats().bytes, 0);
-        assert_eq!(pool.stats().offloads, 1);
-        assert_eq!(pool.stats().peak_bytes, 20);
-        assert_eq!(pool.stats().bytes_offloaded, 20);
     }
 
     #[test]

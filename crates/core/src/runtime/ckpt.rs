@@ -11,14 +11,14 @@
 //!
 //! The pieces:
 //!
-//! * [`Checkpointable`] — the state trait. Model parameters
-//!   ([`GptModel`]), optimizer moments ([`AdamW`]), the data-stream RNG
-//!   ([`Corpus`]), and host-pool residency ([`HostPool`]) all speak it, so
-//!   "what is this object's durable state?" has one answer per type.
+//! * [`CkptMeta`] and [`RankSlices`] — the typed shard codec, and the one
+//!   place the key schema below is written down. `Trainer::checkpoint`
+//!   encodes through it; `Trainer::resume` and the `fpdt-ckpt` inspector
+//!   decode through [`read_checkpoint`], which makes every type, length
+//!   and cross-shard check.
 //! * [`write_shard`] / [`read_shard`] / [`shard_paths`] — per-rank shard
 //!   files (`shard-{rank:04}-of-{world:04}.fpdt`) under a checkpoint
-//!   directory. Replicated metadata appears in every shard; per-rank
-//!   payloads (parameter and moment slices) appear only in their own.
+//!   directory.
 //! * [`CkptError`] — typed failures. A truncated shard, a bad magic, a
 //!   missing rank file each get a distinct variant; nothing in this module
 //!   panics on malformed input.
@@ -37,17 +37,51 @@
 //!
 //! Entries are sorted by key at serialization time regardless of insertion
 //! order, so two logically equal dicts are byte-equal on disk.
+//!
+//! ## Key schema
+//!
+//! Every shard carries the replicated entries ([`CkptMeta`]) bit for bit,
+//! plus the four per-rank entries ([`RankSlices`]). `n` is the parameter
+//! count of the recorded architecture and `w` the shard count; rank `r`
+//! holds elements `[r·n/w, (r+1)·n/w)` of the flat vectors.
+//!
+//! | key                   | type        | contents                                                                             |
+//! |-----------------------|-------------|--------------------------------------------------------------------------------------|
+//! | `cfg.model.name`      | str         | model name                                                                           |
+//! | `cfg.model.family`    | str         | `gpt` or `llama`                                                                     |
+//! | `cfg.model.dims`      | u64 × 6     | layers, hidden, heads, kv_heads, ffn_hidden, vocab                                   |
+//! | `cfg.train`           | u64 × 8     | world, seq, steps, grad_accum, warmup_steps, zero_shard, activation_checkpoint, seed |
+//! | `cfg.lr`              | f32 × 1     | learning rate                                                                        |
+//! | `cfg.mode`            | str         | `single`, `ulysses`, `ring` or `fpdt:{chunks}:{0 or 1}`                              |
+//! | `trainer.step`        | u64 × 1     | micro-steps completed                                                                |
+//! | `trainer.losses`      | f32 × *     | loss of every optimizer window so far                                                |
+//! | `trainer.grads`       | f32 × *     | the last window's reduced gradients                                                  |
+//! | `opt.step`            | u64 × 1     | Adam step counter                                                                    |
+//! | `opt.state_bytes`     | u64 × 1     | rank 0's moment bytes                                                                |
+//! | `rng.state`           | u64 × 4     | data-stream xoshiro words                                                            |
+//! | `stats.pool`          | u64 × 6     | [`PoolStats`] fields in declaration order                                            |
+//! | `stats.comm.ops`      | str         | collective tags, newline-separated                                                   |
+//! | `stats.comm.counts`   | u64 × 4·ops | sends, recvs, bytes_sent, bytes_recv per tag                                         |
+//! | `stats.comm.recovery` | u64 × 2     | faults, retries                                                                      |
+//! | `meta.rank`           | u64 × 1     | per rank: `r`                                                                        |
+//! | `model.params.shard`  | f32         | per rank: slice `r` of the flat parameters                                           |
+//! | `opt.m.shard`         | f32         | per rank: slice `r` of the flat first moments                                        |
+//! | `opt.v.shard`         | f32         | per rank: slice `r` of the flat second moments                                       |
+//!
+//! Runtime knobs are not part of the schema: they are policy, not state,
+//! and a decoded configuration takes them from the current `FPDT_*`
+//! environment.
 
-use crate::offload::{BufKind, ChunkKey, HostPool};
-use crate::runtime::data::Corpus;
+use crate::offload::PoolStats;
+use crate::runtime::dist::{shard_bounds, Mode, TrainConfig};
 use crate::runtime::gpt::GptModel;
-use fpdt_tensor::nn::AdamW;
-use fpdt_tensor::Tensor;
+use crate::runtime::options::RuntimeOptions;
+use fpdt_comm::{CommStats, OpStats};
+use fpdt_model::config::{Family, ModelConfig};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Magic prefix of the sharded checkpoint format (version 2).
 pub const SHARD_MAGIC: &[u8; 8] = b"FPDTCK02";
@@ -95,15 +129,29 @@ impl From<std::io::Error> for CkptError {
     }
 }
 
-/// One value in a [`StateDict`].
-#[derive(Debug, Clone, PartialEq)]
+/// One value in a [`StateDict`]. Equality is bitwise (`f32` payloads
+/// compare by bits, NaNs included), so equal values encode to equal bytes.
+#[derive(Debug, Clone)]
 pub enum StateValue {
-    /// Tensor-backed payload (parameters, moments, losses, residency).
+    /// Tensor-backed payload (parameters, moments, losses, gradients).
     F32(Vec<f32>),
-    /// Counter payload (steps, RNG words, shapes, statistics).
+    /// Counter payload (steps, RNG words, dimensions, statistics).
     U64(Vec<u64>),
     /// Small identity payload (config names, op tags).
     Str(String),
+}
+
+impl PartialEq for StateValue {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (StateValue::F32(a), StateValue::F32(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            }
+            (StateValue::U64(a), StateValue::U64(b)) => a == b,
+            (StateValue::Str(a), StateValue::Str(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl StateValue {
@@ -138,28 +186,6 @@ impl StateDict {
         self.entries.insert(key.into(), value);
     }
 
-    /// Copies every entry of `other` into this dict (later wins).
-    pub fn extend(&mut self, other: &StateDict) {
-        for (k, v) in &other.entries {
-            self.entries.insert(k.clone(), v.clone());
-        }
-    }
-
-    /// Whether an entry exists.
-    pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the dict has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Keys in sorted order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(|k| k.as_str())
@@ -176,6 +202,16 @@ impl StateDict {
             Some(StateValue::F32(v)) => Ok(v),
             Some(_) => Err(CkptError::Corrupt(format!("entry {key:?} is not f32"))),
             None => Err(CkptError::Missing(format!("entry {key:?}"))),
+        }
+    }
+
+    /// Removes and returns a required f32 entry (same error contract as
+    /// [`StateDict::f32s`]) without copying it.
+    fn take_f32s(&mut self, key: &str) -> Result<Vec<f32>, CkptError> {
+        self.f32s(key)?;
+        match self.entries.remove(key) {
+            Some(StateValue::F32(v)) => Ok(v),
+            _ => Err(CkptError::Missing(format!("entry {key:?}"))),
         }
     }
 
@@ -200,14 +236,18 @@ impl StateDict {
     /// As [`StateDict::u64s`], plus [`CkptError::Corrupt`] when the entry
     /// is not exactly one element.
     pub fn u64_scalar(&self, key: &str) -> Result<u64, CkptError> {
+        Ok(self.u64_array::<1>(key)?[0])
+    }
+
+    /// A required u64 entry of exactly `N` elements.
+    fn u64_array<const N: usize>(&self, key: &str) -> Result<[u64; N], CkptError> {
         let v = self.u64s(key)?;
-        if v.len() != 1 {
-            return Err(CkptError::Corrupt(format!(
-                "entry {key:?} has {} elements, expected 1",
+        v.try_into().map_err(|_| {
+            CkptError::Corrupt(format!(
+                "entry {key:?} has {} elements, expected {N}",
                 v.len()
-            )));
-        }
-        Ok(v[0])
+            ))
+        })
     }
 
     /// A required string entry (same error contract as
@@ -296,9 +336,7 @@ impl StateDict {
                     StateValue::U64(
                         raw.chunks_exact(8)
                             .map(|c| {
-                                u64::from_le_bytes([
-                                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                                ])
+                                u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
                             })
                             .collect(),
                     )
@@ -338,15 +376,19 @@ struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CkptError::Corrupt(format!(
-                "truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| {
+                CkptError::Corrupt(format!(
+                    "truncated: need {n} bytes at offset {}, have {}",
+                    self.pos,
+                    self.bytes.len() - self.pos
+                ))
+            })?;
+        let out = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(out)
     }
 
@@ -359,177 +401,403 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The state trait
+// The shard codec
 // ---------------------------------------------------------------------------
 
-/// Durable state, expressed as a [`StateDict`].
-///
-/// `state_dict` takes `&mut self` because the model's parameter visitors
-/// do (see [`GptModel::for_each_param`]); implementations must not change
-/// observable state while exporting. Keys are namespaced per type
-/// (`model.*`, `opt.*`, `rng.*`, `pool.*`) so dicts from different objects
-/// compose into one shard without collisions.
-pub trait Checkpointable {
-    /// Exports durable state. Must be deterministic: two calls on equal
-    /// state produce equal dicts.
-    fn state_dict(&mut self) -> StateDict;
+const RANK: &str = "meta.rank";
+const PARAMS: &str = "model.params.shard";
+const MOMENT_M: &str = "opt.m.shard";
+const MOMENT_V: &str = "opt.v.shard";
 
-    /// Restores state exported by [`Checkpointable::state_dict`].
-    ///
-    /// # Errors
-    ///
-    /// Typed [`CkptError`]s on missing entries or shape mismatches; the
-    /// receiver is left unchanged on error where practical.
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError>;
+/// The replicated metadata every shard of a checkpoint carries: the
+/// training configuration, progress, the last window's losses and
+/// gradients, and the merged traffic counters (see the key schema in the
+/// module docs).
+#[derive(Debug, Clone)]
+pub struct CkptMeta {
+    /// The training configuration. `runtime` is not persisted: a decoded
+    /// configuration reads it from the current `FPDT_*` environment.
+    pub cfg: TrainConfig,
+    /// Micro-steps completed.
+    pub step: usize,
+    /// The optimizer's step counter.
+    pub opt_step: u64,
+    /// Rank 0's Adam moment bytes.
+    pub opt_state_bytes: usize,
+    /// The data stream's RNG words.
+    pub rng: [u64; 4],
+    /// Loss of every optimizer window so far.
+    pub losses: Vec<f32>,
+    /// The last window's reduced gradients.
+    pub grads: Vec<f32>,
+    /// Merged host-pool counters.
+    pub host: PoolStats,
+    /// Merged communication counters (`recv_wait` is not persisted).
+    pub comm: CommStats,
 }
 
-/// Model parameters: one flat f32 vector in [`GptModel::for_each_param`]
-/// order under `"model.params"`.
-impl Checkpointable for GptModel {
-    fn state_dict(&mut self) -> StateDict {
+impl CkptMeta {
+    /// Encodes the replicated entries.
+    pub(crate) fn encode(self) -> StateDict {
+        let (cfg, host, comm) = (&self.cfg, &self.host, &self.comm);
+        let m = &cfg.model;
+        let family = match m.family {
+            Family::Gpt => "gpt",
+            Family::Llama => "llama",
+        };
+        let u64s = |v: &[usize]| StateValue::U64(v.iter().map(|&x| x as u64).collect());
         let mut d = StateDict::new();
-        d.insert("model.params", StateValue::F32(self.collect_params()));
+        d.insert("cfg.model.name", StateValue::Str(m.name.clone()));
+        d.insert("cfg.model.family", StateValue::Str(family.into()));
+        d.insert(
+            "cfg.model.dims",
+            u64s(&[
+                m.layers,
+                m.hidden,
+                m.heads,
+                m.kv_heads,
+                m.ffn_hidden,
+                m.vocab,
+            ]),
+        );
+        d.insert(
+            "cfg.train",
+            StateValue::U64(vec![
+                cfg.world as u64,
+                cfg.seq as u64,
+                cfg.steps as u64,
+                cfg.grad_accum as u64,
+                cfg.warmup_steps as u64,
+                u64::from(cfg.zero_shard),
+                u64::from(cfg.activation_checkpoint),
+                cfg.seed,
+            ]),
+        );
+        d.insert("cfg.lr", StateValue::F32(vec![cfg.lr]));
+        d.insert("cfg.mode", StateValue::Str(cfg.mode.to_string()));
+        d.insert("trainer.step", u64s(&[self.step]));
+        d.insert("trainer.losses", StateValue::F32(self.losses));
+        d.insert("trainer.grads", StateValue::F32(self.grads));
+        d.insert("opt.step", StateValue::U64(vec![self.opt_step]));
+        d.insert("opt.state_bytes", u64s(&[self.opt_state_bytes]));
+        d.insert("rng.state", StateValue::U64(self.rng.to_vec()));
+        d.insert(
+            "stats.pool",
+            StateValue::U64(vec![
+                host.offloads,
+                host.fetches,
+                host.bytes,
+                host.peak_bytes,
+                host.bytes_offloaded,
+                host.bytes_fetched,
+            ]),
+        );
+        let names: Vec<&str> = comm.ops.iter().map(|(n, _)| n.as_str()).collect();
+        d.insert("stats.comm.ops", StateValue::Str(names.join("\n")));
+        d.insert(
+            "stats.comm.counts",
+            StateValue::U64(
+                comm.ops
+                    .iter()
+                    .flat_map(|(_, s)| [s.sends, s.recvs, s.bytes_sent, s.bytes_recv])
+                    .collect(),
+            ),
+        );
+        d.insert(
+            "stats.comm.recovery",
+            StateValue::U64(vec![comm.faults, comm.retries]),
+        );
         d
     }
 
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        let flat = dict.f32s("model.params")?;
-        if flat.len() != self.param_count() {
+    /// Decodes the replicated entries, checking every type and length and
+    /// that the configuration is one a `Trainer` can run.
+    fn decode(d: &StateDict) -> Result<Self, CkptError> {
+        let family = match d.str("cfg.model.family")? {
+            "gpt" => Family::Gpt,
+            "llama" => Family::Llama,
+            other => {
+                return Err(CkptError::Corrupt(format!(
+                    "unknown model family {other:?}"
+                )))
+            }
+        };
+        let size = |x: u64| {
+            usize::try_from(x).map_err(|_| CkptError::Corrupt(format!("{x} overflows usize")))
+        };
+        let [layers, hidden, heads, kv_heads, ffn_hidden, vocab] =
+            d.u64_array("cfg.model.dims")?.map(size);
+        let [world, seq, steps, grad_accum, warmup_steps, zero, ac, seed] =
+            d.u64_array("cfg.train")?;
+        let &[lr] = d.f32s("cfg.lr")? else {
+            return Err(CkptError::Corrupt(
+                "entry \"cfg.lr\" is not one element".into(),
+            ));
+        };
+        let cfg = TrainConfig {
+            model: ModelConfig {
+                name: d.str("cfg.model.name")?.to_string(),
+                family,
+                layers: layers?,
+                hidden: hidden?,
+                heads: heads?,
+                kv_heads: kv_heads?,
+                ffn_hidden: ffn_hidden?,
+                vocab: vocab?,
+            },
+            world: size(world)?,
+            seq: size(seq)?,
+            steps: size(steps)?,
+            grad_accum: size(grad_accum)?,
+            warmup_steps: size(warmup_steps)?,
+            zero_shard: zero != 0,
+            activation_checkpoint: ac != 0,
+            seed,
+            lr,
+            mode: parse_mode(d.str("cfg.mode")?)?,
+            runtime: RuntimeOptions::from_env(),
+        };
+        cfg.check().map_err(CkptError::Corrupt)?;
+
+        let [offloads, fetches, bytes, peak_bytes, bytes_offloaded, bytes_fetched] =
+            d.u64_array("stats.pool")?;
+        let names: Vec<&str> = d.str("stats.comm.ops")?.split_terminator('\n').collect();
+        let counts = d.u64s("stats.comm.counts")?;
+        if counts.len() != names.len() * 4 {
             return Err(CkptError::Corrupt(format!(
-                "model.params has {} values, model expects {}",
-                flat.len(),
-                self.param_count()
+                "stats.comm.counts has {} values for {} ops",
+                counts.len(),
+                names.len()
             )));
         }
-        self.set_params(flat);
-        Ok(())
+        let [faults, retries] = d.u64_array("stats.comm.recovery")?;
+        let ops = names
+            .iter()
+            .zip(counts.chunks_exact(4))
+            .map(|(name, c)| {
+                let stats = OpStats {
+                    sends: c[0],
+                    recvs: c[1],
+                    bytes_sent: c[2],
+                    bytes_recv: c[3],
+                };
+                (name.to_string(), stats)
+            })
+            .collect();
+        Ok(CkptMeta {
+            cfg,
+            step: size(d.u64_scalar("trainer.step")?)?,
+            opt_step: d.u64_scalar("opt.step")?,
+            opt_state_bytes: size(d.u64_scalar("opt.state_bytes")?)?,
+            rng: d.u64_array("rng.state")?,
+            losses: d.f32s("trainer.losses")?.to_vec(),
+            grads: d.f32s("trainer.grads")?.to_vec(),
+            host: PoolStats {
+                offloads,
+                fetches,
+                bytes,
+                peak_bytes,
+                bytes_offloaded,
+                bytes_fetched,
+            },
+            comm: CommStats {
+                ops,
+                recv_wait: std::time::Duration::ZERO,
+                faults,
+                retries,
+            },
+        })
     }
 }
 
-/// Optimizer moments: the shared step under `"opt.step"`, the sorted
-/// parameter ids under `"opt.ids"`, and per-id first/second moments under
-/// `"opt.m.{id:08}"` / `"opt.v.{id:08}"`.
-impl Checkpointable for AdamW {
-    fn state_dict(&mut self) -> StateDict {
-        let (step, entries) = self.export_state();
-        let mut d = StateDict::new();
-        d.insert("opt.step", StateValue::U64(vec![step]));
-        d.insert(
-            "opt.ids",
-            StateValue::U64(entries.iter().map(|(id, _, _)| *id).collect()),
-        );
-        for (id, m, v) in entries {
-            d.insert(format!("opt.m.{id:08}"), StateValue::F32(m));
-            d.insert(format!("opt.v.{id:08}"), StateValue::F32(v));
+/// The checkpoint spelling of a mode (`cfg.mode`).
+impl fmt::Display for Mode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Mode::Single => f.write_str("single"),
+            Mode::Ulysses => f.write_str("ulysses"),
+            Mode::Ring => f.write_str("ring"),
+            Mode::Fpdt { chunks, offload } => write!(f, "fpdt:{chunks}:{}", u8::from(*offload)),
         }
+    }
+}
+
+/// Inverse of `Mode`'s `Display`; the offload flag must be `0` or `1`.
+fn parse_mode(s: &str) -> Result<Mode, CkptError> {
+    let bad = || CkptError::Corrupt(format!("unknown mode {s:?}"));
+    match s {
+        "single" => Ok(Mode::Single),
+        "ulysses" => Ok(Mode::Ulysses),
+        "ring" => Ok(Mode::Ring),
+        _ => {
+            let (chunks, offload) = s
+                .strip_prefix("fpdt:")
+                .and_then(|rest| rest.split_once(':'))
+                .ok_or_else(bad)?;
+            Ok(Mode::Fpdt {
+                chunks: chunks.parse().map_err(|_| bad())?,
+                offload: match offload {
+                    "0" => false,
+                    "1" => true,
+                    _ => return Err(bad()),
+                },
+            })
+        }
+    }
+}
+
+/// One rank's contiguous slice of the flat parameters and Adam moments
+/// (rank `r` of `w` holds elements `[r·n/w, (r+1)·n/w)`).
+#[derive(Debug, Clone)]
+pub struct RankSlices {
+    /// The rank this shard belongs to.
+    pub rank: usize,
+    /// Parameter slice.
+    pub params: Vec<f32>,
+    /// First-moment slice.
+    pub m: Vec<f32>,
+    /// Second-moment slice.
+    pub v: Vec<f32>,
+}
+
+impl RankSlices {
+    /// Encodes this rank's shard: the replicated entries `meta` (from
+    /// [`CkptMeta::encode`]) plus the four per-rank entries.
+    pub(crate) fn encode(self, meta: &StateDict) -> StateDict {
+        let mut d = meta.clone();
+        d.insert(RANK, StateValue::U64(vec![self.rank as u64]));
+        d.insert(PARAMS, StateValue::F32(self.params));
+        d.insert(MOMENT_M, StateValue::F32(self.m));
+        d.insert(MOMENT_V, StateValue::F32(self.v));
         d
     }
 
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        let step = dict.u64_scalar("opt.step")?;
-        let ids = dict.u64s("opt.ids")?.to_vec();
-        let mut entries = Vec::with_capacity(ids.len());
-        for id in ids {
-            let m = dict.f32s(&format!("opt.m.{id:08}"))?.to_vec();
-            let v = dict.f32s(&format!("opt.v.{id:08}"))?.to_vec();
-            if m.len() != v.len() {
+    /// Moves rank `rank`'s per-rank entries out of `d`, checking the rank
+    /// id and that each slice is exactly the rank's bounds of `params`
+    /// parameters over `world` shards.
+    fn take(
+        d: &mut StateDict,
+        rank: usize,
+        params: usize,
+        world: usize,
+    ) -> Result<Self, CkptError> {
+        let claimed = d.u64_scalar(RANK)?;
+        if claimed != rank as u64 {
+            return Err(CkptError::Corrupt(format!(
+                "shard {rank} claims rank {claimed}"
+            )));
+        }
+        d.entries.remove(RANK);
+        let (lo, hi) = shard_bounds(params, rank, world);
+        let mut slice = |key: &str| {
+            let v = d.take_f32s(key)?;
+            if v.len() != hi - lo {
                 return Err(CkptError::Corrupt(format!(
-                    "opt moments for id {id} disagree: {} vs {}",
-                    m.len(),
-                    v.len()
+                    "{key} of shard {rank} holds {} values, the architecture's \
+                     {params} parameters put {} there",
+                    v.len(),
+                    hi - lo
                 )));
             }
-            entries.push((id, m, v));
-        }
-        self.import_state(step, entries);
-        Ok(())
+            Ok(v)
+        };
+        Ok(RankSlices {
+            rank,
+            params: slice(PARAMS)?,
+            m: slice(MOMENT_M)?,
+            v: slice(MOMENT_V)?,
+        })
     }
 }
 
-/// Data-stream RNG: the four xoshiro words under `"rng.state"`, so a
-/// resumed run draws the exact token sequence the interrupted run would
-/// have.
-impl Checkpointable for Corpus {
-    fn state_dict(&mut self) -> StateDict {
-        let mut d = StateDict::new();
-        d.insert(
-            "rng.state",
-            StateValue::U64(self.rng_state().to_vec()),
-        );
-        d
+/// Opens the checkpoint in `dir` for decoding, one shard at a time.
+///
+/// Shard 0 is read and checked here: its replicated metadata decodes into
+/// a [`CkptMeta`] whose configuration a `Trainer` can run, the recorded
+/// world matches the shard count, and its slices match the architecture's
+/// parameter count (computed without allocating, so a corrupt
+/// architecture cannot request a huge model). The returned [`Shards`]
+/// then yields every rank's slices in rank order.
+///
+/// # Errors
+///
+/// Every [`CkptError`] class: unreadable or missing shards, foreign
+/// magic, truncation, a missing entry, a wrong type or length, or a
+/// configuration that does not fit the shards.
+pub fn read_checkpoint(dir: &Path) -> Result<(CkptMeta, Shards), CkptError> {
+    let paths = shard_paths(dir)?;
+    let mut dict = read_shard(&paths[0])?;
+    let meta = CkptMeta::decode(&dict)?;
+    let world = meta.cfg.world.max(1);
+    if world != paths.len() {
+        return Err(CkptError::Corrupt(format!(
+            "config world {} disagrees with {} shards",
+            meta.cfg.world,
+            paths.len()
+        )));
+    }
+    let params = GptModel::param_count_of(&meta.cfg.model).ok_or_else(|| {
+        CkptError::Corrupt("the recorded architecture's parameter count overflows".into())
+    })?;
+    let first = RankSlices::take(&mut dict, 0, params, world)?;
+    let shards = Shards {
+        paths,
+        meta: dict,
+        params,
+        next: 0,
+        first: Some(first),
+    };
+    Ok((meta, shards))
+}
+
+/// Every rank's [`RankSlices`] of a checkpoint, in rank order (see
+/// [`read_checkpoint`]). Each shard is read when it is reached and must
+/// carry shard 0's replicated entries bit for bit.
+#[derive(Debug)]
+pub struct Shards {
+    paths: Vec<PathBuf>,
+    /// Shard 0's replicated entries.
+    meta: StateDict,
+    /// The architecture's parameter count.
+    params: usize,
+    next: usize,
+    first: Option<RankSlices>,
+}
+
+impl Shards {
+    /// The shard files, in rank order.
+    pub fn paths(&self) -> &[PathBuf] {
+        &self.paths
     }
 
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        let words = dict.u64s("rng.state")?;
-        let s: [u64; 4] = words
-            .try_into()
-            .map_err(|_| CkptError::Corrupt(format!("rng.state has {} words", words.len())))?;
-        self.set_rng_state(s);
-        Ok(())
+    fn read(&self, rank: usize) -> Result<RankSlices, CkptError> {
+        let mut dict = read_shard(&self.paths[rank])?;
+        let slices = RankSlices::take(&mut dict, rank, self.params, self.paths.len())?;
+        if dict != self.meta {
+            let differs = |k: &&str| dict.entries.get(*k) != self.meta.entries.get(*k);
+            let key = dict.keys().chain(self.meta.keys()).find(differs);
+            return Err(CkptError::Corrupt(format!(
+                "replicated {} disagrees between shards 0 and {rank}",
+                key.unwrap_or_default()
+            )));
+        }
+        Ok(slices)
     }
 }
 
-/// Host-pool residency: every resident chunk in [`ChunkKey::sort_key`]
-/// order, as widened f32 data plus shape, under
-/// `"pool.chunk.{i:04}.data"` / `".shape"` / `".key"`, with the count
-/// under `"pool.count"`. Export moves no transfer counters
-/// ([`HostPool::peek`]); restore replays the offloads, so counters do move
-/// on load — at step boundaries (where the trainer checkpoints) the pool
-/// is drained and both directions are no-ops.
-impl Checkpointable for HostPool {
-    fn state_dict(&mut self) -> StateDict {
-        let mut d = StateDict::new();
-        let keys = self.resident_keys();
-        d.insert("pool.count", StateValue::U64(vec![keys.len() as u64]));
-        for (i, key) in keys.iter().enumerate() {
-            let chunk = self.peek(key).expect("key came from resident_keys");
-            let wide = chunk.widen();
-            d.insert(
-                format!("pool.chunk.{i:04}.key"),
-                StateValue::U64(vec![
-                    key.layer as u64,
-                    key.kind.code() as u64,
-                    key.chunk as u64,
-                ]),
-            );
-            d.insert(
-                format!("pool.chunk.{i:04}.shape"),
-                StateValue::U64(wide.shape().iter().map(|&s| s as u64).collect()),
-            );
-            d.insert(
-                format!("pool.chunk.{i:04}.data"),
-                StateValue::F32(wide.data().to_vec()),
-            );
-        }
-        d
-    }
+impl Iterator for Shards {
+    type Item = Result<RankSlices, CkptError>;
 
-    fn load_state_dict(&mut self, dict: &StateDict) -> Result<(), CkptError> {
-        self.clear();
-        let count = dict.u64_scalar("pool.count")? as usize;
-        for i in 0..count {
-            let raw_key = dict.u64s(&format!("pool.chunk.{i:04}.key"))?;
-            if raw_key.len() != 3 {
-                return Err(CkptError::Corrupt(format!(
-                    "pool chunk {i} key has {} fields",
-                    raw_key.len()
-                )));
-            }
-            let kind = BufKind::from_code(raw_key[1] as u8).ok_or_else(|| {
-                CkptError::Corrupt(format!("pool chunk {i}: unknown kind {}", raw_key[1]))
-            })?;
-            let key = ChunkKey::new(raw_key[0] as usize, kind, raw_key[2] as usize);
-            let shape: Vec<usize> = dict
-                .u64s(&format!("pool.chunk.{i:04}.shape"))?
-                .iter()
-                .map(|&s| s as usize)
-                .collect();
-            let data = dict.f32s(&format!("pool.chunk.{i:04}.data"))?.to_vec();
-            let t = Tensor::from_vec(data, &shape)
-                .map_err(|e| CkptError::Corrupt(format!("pool chunk {i}: {e}")))?;
-            self.offload_shared(key, Arc::new(t));
+    fn next(&mut self) -> Option<Self::Item> {
+        let rank = self.next;
+        if rank >= self.paths.len() {
+            return None;
         }
-        Ok(())
+        self.next += 1;
+        Some(match self.first.take() {
+            Some(first) => Ok(first),
+            None => self.read(rank),
+        })
     }
 }
 
@@ -608,7 +876,9 @@ pub fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
             Some(_) => {}
         }
         if found.insert(rank, path).is_some() {
-            return Err(CkptError::Corrupt(format!("duplicate shard for rank {rank}")));
+            return Err(CkptError::Corrupt(format!(
+                "duplicate shard for rank {rank}"
+            )));
         }
     }
     let world = world.ok_or_else(|| {
@@ -616,9 +886,9 @@ pub fn shard_paths(dir: &Path) -> Result<Vec<PathBuf>, CkptError> {
     })?;
     let mut out = Vec::with_capacity(world);
     for rank in 0..world {
-        let path = found.remove(&rank).ok_or_else(|| {
-            CkptError::Missing(format!("shard for rank {rank} of {world}"))
-        })?;
+        let path = found
+            .remove(&rank)
+            .ok_or_else(|| CkptError::Missing(format!("shard for rank {rank} of {world}")))?;
         out.push(path);
     }
     if let Some((&rank, _)) = found.iter().next() {
@@ -638,8 +908,6 @@ fn parse_shard_name(name: &str) -> Option<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpdt_model::config::ModelConfig;
-    use fpdt_tensor::nn::AdamWConfig;
 
     fn sample_dict() -> StateDict {
         let mut d = StateDict::new();
@@ -705,80 +973,56 @@ mod tests {
     }
 
     #[test]
-    fn model_state_round_trips_bitwise() {
-        let cfg = ModelConfig::tiny(2, 32, 4, 50);
-        let mut a = GptModel::new(&cfg, 3);
-        let dict = a.state_dict();
-        let mut b = GptModel::new(&cfg, 999); // different init
-        b.load_state_dict(&dict).unwrap();
-        assert_eq!(a.collect_params(), b.collect_params());
-        // wrong architecture is a typed error, not a panic
-        let mut small = GptModel::new(&ModelConfig::tiny(1, 16, 2, 20), 0);
+    fn huge_key_length_is_corrupt_not_an_overflow() {
+        // magic + one entry whose key claims u64::MAX bytes
+        let mut bytes = SHARD_MAGIC.to_vec();
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        assert_eq!(bytes.len(), 32);
         assert!(matches!(
-            small.load_state_dict(&dict),
-            Err(CkptError::Corrupt(_))
+            StateDict::from_bytes(&bytes).unwrap_err(),
+            CkptError::Corrupt(_)
         ));
     }
 
     #[test]
-    fn optimizer_state_round_trips_bitwise() {
-        let mut opt = AdamW::new(AdamWConfig::default());
-        let mut p0 = vec![1.0f32; 8];
-        let mut p1 = vec![-0.5f32; 3];
-        for _ in 0..4 {
-            opt.begin_step();
-            opt.update(0, &mut p0, &[0.1; 8]);
-            opt.update(1, &mut p1, &[-0.2; 3]);
+    fn values_compare_by_bits() {
+        let nan = StateValue::F32(vec![f32::NAN]);
+        assert_eq!(nan, nan.clone());
+        assert_ne!(StateValue::F32(vec![0.0]), StateValue::F32(vec![-0.0]));
+        assert_ne!(StateValue::F32(vec![]), StateValue::U64(vec![]));
+    }
+
+    #[test]
+    fn modes_round_trip_and_parse_strictly() {
+        for mode in [
+            Mode::Single,
+            Mode::Ulysses,
+            Mode::Ring,
+            Mode::Fpdt {
+                chunks: 4,
+                offload: true,
+            },
+            Mode::Fpdt {
+                chunks: 1,
+                offload: false,
+            },
+        ] {
+            assert_eq!(parse_mode(&mode.to_string()).unwrap(), mode);
         }
-        let dict = opt.state_dict();
-        let mut fresh = AdamW::new(AdamWConfig::default());
-        fresh.load_state_dict(&dict).unwrap();
-        // both optimizers now produce identical updates
-        let (mut qa, mut qb) = (p0.clone(), p0.clone());
-        opt.begin_step();
-        opt.update(0, &mut qa, &[0.05; 8]);
-        fresh.begin_step();
-        fresh.update(0, &mut qb, &[0.05; 8]);
-        assert_eq!(
-            qa.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            qb.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn corpus_rng_round_trips_the_stream() {
-        let mut a = Corpus::new(50, 0.05, 77);
-        let _ = a.sample(32);
-        let dict = a.state_dict();
-        let mut b = Corpus::new(50, 0.05, 1); // different seed
-        b.load_state_dict(&dict).unwrap();
-        assert_eq!(a.sample(16), b.sample(16));
-    }
-
-    #[test]
-    fn host_pool_residency_round_trips_without_count_drift_on_save() {
-        let mut pool = HostPool::new();
-        pool.offload(
-            ChunkKey::new(1, BufKind::K, 0),
-            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap(),
-        );
-        pool.offload(
-            ChunkKey::new(0, BufKind::Q, 2),
-            Tensor::from_vec(vec![-1.0; 6], &[3, 2]).unwrap(),
-        );
-        let before = pool.stats();
-        let dict = pool.state_dict();
-        assert_eq!(pool.stats(), before, "export must not move counters");
-
-        let mut restored = HostPool::new();
-        restored.load_state_dict(&dict).unwrap();
-        assert_eq!(restored.len(), 2);
-        let keys = restored.resident_keys();
-        assert_eq!(keys, pool.resident_keys(), "sorted key order is stable");
-        for key in &keys {
-            assert_eq!(
-                restored.peek(key).unwrap().widen().data(),
-                pool.peek(key).unwrap().widen().data()
+        for bad in [
+            "",
+            "fpdt",
+            "fpdt:4",
+            "fpdt:x:1",
+            "fpdt:4:2",
+            "fpdt:4:true",
+            "Ring",
+        ] {
+            assert!(
+                matches!(parse_mode(bad), Err(CkptError::Corrupt(_))),
+                "{bad:?}"
             );
         }
     }
@@ -801,7 +1045,10 @@ mod tests {
         }
         // a missing rank is typed
         std::fs::remove_file(&paths[1]).unwrap();
-        assert!(matches!(shard_paths(&dir).unwrap_err(), CkptError::Missing(_)));
+        assert!(matches!(
+            shard_paths(&dir).unwrap_err(),
+            CkptError::Missing(_)
+        ));
         // a truncated shard is corrupt, not a panic
         let bytes = std::fs::read(&paths[0]).unwrap();
         std::fs::write(&paths[0], &bytes[..bytes.len() / 2]).unwrap();

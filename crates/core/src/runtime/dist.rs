@@ -48,13 +48,13 @@
 
 use crate::chunk::ChunkPlan;
 use crate::offload::PoolStats;
-use crate::runtime::ckpt::{self, CkptError, StateDict, StateValue};
+use crate::runtime::ckpt::{self, CkptError, CkptMeta, RankSlices};
 use crate::runtime::data::Corpus;
 use crate::runtime::exec::{AttentionExec, DistAttention, LocalAttention, RingAttentionExec};
 use crate::runtime::gpt::GptModel;
 use crate::runtime::options::RuntimeOptions;
 use fpdt_comm::{run_group, CommStats, Communicator};
-use fpdt_model::config::{Family, ModelConfig};
+use fpdt_model::config::ModelConfig;
 use fpdt_tensor::nn::{AdamW, AdamWConfig};
 use fpdt_trace::Recorder;
 use std::fmt;
@@ -90,39 +90,6 @@ impl Mode {
 
     fn offload(&self) -> bool {
         matches!(self, Mode::Fpdt { offload: true, .. })
-    }
-
-    fn as_str(&self) -> String {
-        match self {
-            Mode::Single => "single".into(),
-            Mode::Ulysses => "ulysses".into(),
-            Mode::Ring => "ring".into(),
-            Mode::Fpdt { chunks, offload } => {
-                format!("fpdt:{chunks}:{}", u8::from(*offload))
-            }
-        }
-    }
-
-    fn parse(s: &str) -> Result<Mode, CkptError> {
-        match s {
-            "single" => Ok(Mode::Single),
-            "ulysses" => Ok(Mode::Ulysses),
-            "ring" => Ok(Mode::Ring),
-            _ => {
-                let rest = s
-                    .strip_prefix("fpdt:")
-                    .ok_or_else(|| CkptError::Corrupt(format!("unknown mode {s:?}")))?;
-                let (chunks, offload) = rest
-                    .split_once(':')
-                    .ok_or_else(|| CkptError::Corrupt(format!("unknown mode {s:?}")))?;
-                Ok(Mode::Fpdt {
-                    chunks: chunks
-                        .parse()
-                        .map_err(|_| CkptError::Corrupt(format!("bad chunk count in {s:?}")))?,
-                    offload: offload == "1",
-                })
-            }
-        }
     }
 }
 
@@ -193,28 +160,48 @@ impl TrainConfig {
         }
     }
 
-    /// Panics on a geometry the mode cannot run (the same contract the
-    /// original `train` entry point had).
-    fn validate(&self) {
+    /// Whether the mode can run this configuration: whole heads and
+    /// kv-head groups, at least two tokens, and (unless single-device)
+    /// heads and the sequence dividing across the world and its chunks.
+    /// `Err` carries the reason.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let m = &self.model;
+        if m.heads == 0
+            || m.kv_heads == 0
+            || m.hidden == 0
+            || !m.hidden.is_multiple_of(m.heads)
+            || !m.heads.is_multiple_of(m.kv_heads)
+        {
+            return Err("hidden must split into whole heads, and heads into kv-head groups".into());
+        }
+        if m.vocab < 2 {
+            return Err("need at least two tokens".into());
+        }
         if matches!(self.mode, Mode::Single) {
-            return;
+            return Ok(());
         }
         let world = self.world;
+        // Ring keeps full heads; Ulysses/FPDT scatter them.
         if !matches!(self.mode, Mode::Ring) {
-            // Ring keeps full heads; Ulysses/FPDT scatter them.
-            assert!(
-                self.model.heads.is_multiple_of(world),
-                "heads must divide across ranks"
-            );
-            assert!(
-                self.model.kv_heads.is_multiple_of(world),
-                "kv heads must divide across ranks (Ulysses head scattering)"
-            );
+            if !m.heads.is_multiple_of(world) {
+                return Err("heads must divide across ranks".into());
+            }
+            if !m.kv_heads.is_multiple_of(world) {
+                return Err("kv heads must divide across ranks (Ulysses head scattering)".into());
+            }
         }
-        assert!(
-            self.seq.is_multiple_of(world * self.mode.chunks()),
-            "sequence must divide into world x chunks segments"
-        );
+        match world.checked_mul(self.mode.chunks()) {
+            Some(segments) if segments > 0 && self.seq.is_multiple_of(segments) => Ok(()),
+            _ => Err("sequence must divide into world x chunks segments".into()),
+        }
+    }
+
+    /// Panics on a configuration [`TrainConfig::check`] rejects (the same
+    /// contract the original `train` entry point had).
+    fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -321,7 +308,7 @@ fn zero_sharded(cfg: &TrainConfig) -> bool {
 
 /// Rank `rank`'s contiguous slice of an `n`-element flat vector. The same
 /// integer division at every world, so the slices concatenate exactly.
-fn shard_bounds(n: usize, rank: usize, world: usize) -> (usize, usize) {
+pub(crate) fn shard_bounds(n: usize, rank: usize, world: usize) -> (usize, usize) {
     (rank * n / world, (rank + 1) * n / world)
 }
 
@@ -706,9 +693,11 @@ impl Trainer {
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (heads not divisible by world,
-    /// sequence not divisible by `world * chunks`) — the same contract
-    /// [`train`] always had.
+    /// Panics on inconsistent configuration (heads that do not split the
+    /// hidden width or divide across the world, a sequence not divisible
+    /// by `world * chunks`, fewer than two tokens) — the same contract
+    /// [`train`] always had. [`Trainer::resume`] reports the same checks
+    /// as typed errors.
     pub fn new(cfg: TrainConfig) -> Self {
         cfg.validate();
         let model = GptModel::new(&cfg.model, cfg.seed);
@@ -857,99 +846,9 @@ impl Trainer {
         }
     }
 
-    /// Replicated (world-independent) metadata every shard carries.
-    fn meta_dict(&self) -> StateDict {
-        let cfg = &self.cfg;
-        let r0 = &self.replicas()[0];
-        let mut d = StateDict::new();
-        d.insert("cfg.model.name", StateValue::Str(cfg.model.name.clone()));
-        d.insert(
-            "cfg.model.family",
-            StateValue::Str(
-                match cfg.model.family {
-                    Family::Gpt => "gpt",
-                    Family::Llama => "llama",
-                }
-                .into(),
-            ),
-        );
-        d.insert(
-            "cfg.model.dims",
-            StateValue::U64(vec![
-                cfg.model.layers as u64,
-                cfg.model.hidden as u64,
-                cfg.model.heads as u64,
-                cfg.model.kv_heads as u64,
-                cfg.model.ffn_hidden as u64,
-                cfg.model.vocab as u64,
-            ]),
-        );
-        d.insert(
-            "cfg.train",
-            StateValue::U64(vec![
-                cfg.world as u64,
-                cfg.seq as u64,
-                cfg.steps as u64,
-                cfg.grad_accum as u64,
-                cfg.warmup_steps as u64,
-                u64::from(cfg.zero_shard),
-                u64::from(cfg.activation_checkpoint),
-                cfg.seed,
-            ]),
-        );
-        d.insert("cfg.lr", StateValue::F32(vec![cfg.lr]));
-        d.insert("cfg.mode", StateValue::Str(cfg.mode.as_str()));
-        d.insert("trainer.step", StateValue::U64(vec![self.step as u64]));
-        d.insert("opt.step", StateValue::U64(vec![r0.opt.steps()]));
-        d.insert(
-            "opt.state_bytes",
-            StateValue::U64(vec![self.opt_state_bytes as u64]),
-        );
-        d.insert("rng.state", StateValue::U64(r0.corpus.rng_state().to_vec()));
-        d.insert("trainer.losses", StateValue::F32(self.losses.clone()));
-        d.insert("trainer.grads", StateValue::F32(self.grads.clone()));
-        d.insert(
-            "stats.pool",
-            StateValue::U64(vec![
-                self.host.offloads,
-                self.host.fetches,
-                self.host.bytes,
-                self.host.peak_bytes,
-                self.host.bytes_offloaded,
-                self.host.bytes_fetched,
-            ]),
-        );
-        d.insert(
-            "stats.comm.ops",
-            StateValue::Str(
-                self.comm
-                    .ops
-                    .iter()
-                    .map(|(n, _)| n.as_str())
-                    .collect::<Vec<_>>()
-                    .join("\n"),
-            ),
-        );
-        d.insert(
-            "stats.comm.counts",
-            StateValue::U64(
-                self.comm
-                    .ops
-                    .iter()
-                    .flat_map(|(_, s)| [s.sends, s.recvs, s.bytes_sent, s.bytes_recv])
-                    .collect(),
-            ),
-        );
-        d.insert(
-            "stats.comm.recovery",
-            StateValue::U64(vec![self.comm.faults, self.comm.retries]),
-        );
-        d
-    }
-
     /// Writes a sharded checkpoint: one `shard-{rank}-of-{world}.fpdt`
-    /// per configured rank, each holding the replicated metadata plus that
-    /// rank's contiguous slice of the flat parameters and moments. Cut
+    /// per configured rank, each holding the replicated [`CkptMeta`] plus
+    /// that rank's [`RankSlices`] of the flat parameters and moments. Cut
     /// from the replicas' flat view at a segment boundary, so no
     /// collective (and no live world) is involved.
     ///
@@ -963,19 +862,26 @@ impl Trainer {
     pub fn checkpoint(&self, dir: &Path) -> Result<(), CkptError> {
         let world = self.cfg.world.max(1);
         let replicas = self.replicas();
-        let n = replicas[0].model.param_count();
+        let r0 = &replicas[0];
+        let n = r0.model.param_count();
+        let meta = CkptMeta {
+            cfg: self.cfg.clone(),
+            step: self.step,
+            opt_step: r0.opt.steps(),
+            opt_state_bytes: self.opt_state_bytes,
+            rng: r0.corpus.rng_state(),
+            losses: self.losses.clone(),
+            grads: self.grads.clone(),
+            host: self.host,
+            comm: self.comm.clone(),
+        }
+        .encode();
         for rank in 0..world {
             let (lo, hi) = shard_bounds(n, rank, world);
             let (m, v) = moments_range(replicas, zero_sharded(&self.cfg), lo, hi);
-            let mut d = self.meta_dict();
-            d.insert("meta.rank", StateValue::U64(vec![rank as u64]));
-            d.insert(
-                "model.params.shard",
-                StateValue::F32(replicas[0].model.params_range(lo, hi)),
-            );
-            d.insert("opt.m.shard", StateValue::F32(m));
-            d.insert("opt.v.shard", StateValue::F32(v));
-            ckpt::write_shard(dir, rank, world, &d)?;
+            let params = r0.model.params_range(lo, hi);
+            let shard = RankSlices { rank, params, m, v }.encode(&meta);
+            ckpt::write_shard(dir, rank, world, &shard)?;
         }
         Ok(())
     }
@@ -1004,190 +910,35 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Typed [`CkptError`]s: missing or extra shards, truncation, version
-    /// mismatches, replicated metadata that disagrees between shards, or
-    /// state that does not fit the recorded architecture.
+    /// Typed [`CkptError`]s from [`ckpt::read_checkpoint`]: missing or
+    /// extra shards, truncation, version mismatches, replicated metadata
+    /// that disagrees between shards, a configuration no `Trainer` can
+    /// run, or state that does not fit the recorded architecture.
     pub fn resume(dir: &Path) -> Result<Self, CkptError> {
-        let paths = ckpt::shard_paths(dir)?;
-        let meta = ckpt::read_shard(&paths[0])?;
-        let dims = meta.u64s("cfg.model.dims")?;
-        if dims.len() != 6 {
-            return Err(CkptError::Corrupt(format!(
-                "cfg.model.dims has {} fields",
-                dims.len()
-            )));
+        let (meta, shards) = ckpt::read_checkpoint(dir)?;
+        // One shard in memory at a time: its parameters go straight into
+        // the skeleton, its moments onto the flat view.
+        let mut model = GptModel::zeroed(&meta.cfg.model);
+        let n = model.param_count();
+        let (mut m, mut v) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut off = 0;
+        for shard in shards {
+            let shard = shard?;
+            model.set_params_range(off, &shard.params);
+            off += shard.params.len();
+            m.extend_from_slice(&shard.m);
+            v.extend_from_slice(&shard.v);
         }
-        let family = match meta.str("cfg.model.family")? {
-            "gpt" => Family::Gpt,
-            "llama" => Family::Llama,
-            other => {
-                return Err(CkptError::Corrupt(format!("unknown model family {other:?}")))
-            }
-        };
-        let model = ModelConfig {
-            name: meta.str("cfg.model.name")?.to_string(),
-            family,
-            layers: dims[0] as usize,
-            hidden: dims[1] as usize,
-            heads: dims[2] as usize,
-            kv_heads: dims[3] as usize,
-            ffn_hidden: dims[4] as usize,
-            vocab: dims[5] as usize,
-        };
-        let t = meta.u64s("cfg.train")?;
-        if t.len() != 8 {
-            return Err(CkptError::Corrupt(format!("cfg.train has {} fields", t.len())));
-        }
-        if t[0] as usize != paths.len() {
-            return Err(CkptError::Corrupt(format!(
-                "config world {} disagrees with {} shards",
-                t[0],
-                paths.len()
-            )));
-        }
-        let lr_entry = meta.f32s("cfg.lr")?;
-        let cfg = TrainConfig {
-            model,
-            world: t[0] as usize,
-            seq: t[1] as usize,
-            steps: t[2] as usize,
-            grad_accum: t[3] as usize,
-            warmup_steps: t[4] as usize,
-            zero_shard: t[5] != 0,
-            activation_checkpoint: t[6] != 0,
-            seed: t[7],
-            lr: *lr_entry.first().ok_or_else(|| {
-                CkptError::Corrupt("cfg.lr is empty".into())
-            })?,
-            mode: Mode::parse(meta.str("cfg.mode")?)?,
-            runtime: RuntimeOptions::from_env(),
-        };
-        cfg.validate();
-
-        let rng_words = meta.u64s("rng.state")?;
-        let rng: [u64; 4] = rng_words.try_into().map_err(|_| {
-            CkptError::Corrupt(format!("rng.state has {} words", rng_words.len()))
-        })?;
-        let pool = meta.u64s("stats.pool")?;
-        if pool.len() != 6 {
-            return Err(CkptError::Corrupt(format!(
-                "stats.pool has {} fields",
-                pool.len()
-            )));
-        }
-        let host = PoolStats {
-            offloads: pool[0],
-            fetches: pool[1],
-            bytes: pool[2],
-            peak_bytes: pool[3],
-            bytes_offloaded: pool[4],
-            bytes_fetched: pool[5],
-        };
-        let op_names: Vec<&str> = {
-            let raw = meta.str("stats.comm.ops")?;
-            if raw.is_empty() {
-                Vec::new()
-            } else {
-                raw.split('\n').collect()
-            }
-        };
-        let counts = meta.u64s("stats.comm.counts")?;
-        if counts.len() != op_names.len() * 4 {
-            return Err(CkptError::Corrupt(format!(
-                "stats.comm.counts has {} values for {} ops",
-                counts.len(),
-                op_names.len()
-            )));
-        }
-        let recovery = meta.u64s("stats.comm.recovery")?;
-        if recovery.len() != 2 {
-            return Err(CkptError::Corrupt(format!(
-                "stats.comm.recovery has {} fields",
-                recovery.len()
-            )));
-        }
-        let comm = CommStats {
-            ops: op_names
-                .iter()
-                .zip(counts.chunks_exact(4))
-                .map(|(name, c)| {
-                    (
-                        name.to_string(),
-                        fpdt_comm::OpStats {
-                            sends: c[0],
-                            recvs: c[1],
-                            bytes_sent: c[2],
-                            bytes_recv: c[3],
-                        },
-                    )
-                })
-                .collect(),
-            recv_wait: std::time::Duration::ZERO,
-            faults: recovery[0],
-            retries: recovery[1],
-        };
-
-        let step = meta.u64_scalar("trainer.step")?;
-        let opt_step = meta.u64_scalar("opt.step")?;
-        let opt_state_bytes = meta.u64_scalar("opt.state_bytes")? as usize;
-        let losses = meta.f32s("trainer.losses")?.to_vec();
-        let grads = meta.f32s("trainer.grads")?.to_vec();
-
-        // Shards are decoded one at a time and dropped once their slices
-        // are copied out, which keeps the resume's memory peak low.
-        let mut params = Vec::new();
-        let mut m = Vec::new();
-        let mut v = Vec::new();
-        let mut first = Some(meta);
-        for (rank, path) in paths.iter().enumerate() {
-            let shard = match first.take() {
-                Some(meta) => meta,
-                None => ckpt::read_shard(path)?,
-            };
-            if shard.u64_scalar("meta.rank")? != rank as u64 {
-                return Err(CkptError::Corrupt(format!(
-                    "shard {rank} carries the wrong rank id"
-                )));
-            }
-            for (key, value) in [("trainer.step", step), ("opt.step", opt_step)] {
-                if shard.u64_scalar(key)? != value {
-                    return Err(CkptError::Corrupt(format!(
-                        "replicated {key} disagrees between shards 0 and {rank}"
-                    )));
-                }
-            }
-            params.extend_from_slice(shard.f32s("model.params.shard")?);
-            m.extend_from_slice(shard.f32s("opt.m.shard")?);
-            v.extend_from_slice(shard.f32s("opt.v.shard")?);
-        }
-        let mut model = GptModel::zeroed(&cfg.model);
-        let expected = model.param_count();
-        if params.len() != expected {
-            return Err(CkptError::Corrupt(format!(
-                "shards hold {} parameters, architecture expects {expected}",
-                params.len()
-            )));
-        }
-        if m.len() != expected || v.len() != expected {
-            return Err(CkptError::Corrupt(format!(
-                "moment vectors ({}, {}) do not match {expected} parameters",
-                m.len(),
-                v.len()
-            )));
-        }
-
-        model.set_params(&params);
-        drop(params);
         Ok(Trainer {
-            step: step as usize,
-            opt_state_bytes,
-            losses,
-            grads,
-            replicas: build_replicas(&cfg, model, opt_step, &m, &v, rng),
-            cfg,
+            replicas: build_replicas(&meta.cfg, model, meta.opt_step, &m, &v, meta.rng),
+            cfg: meta.cfg,
             recorder: None,
-            host,
-            comm,
+            opt_state_bytes: meta.opt_state_bytes,
+            step: meta.step,
+            losses: meta.losses,
+            grads: meta.grads,
+            host: meta.host,
+            comm: meta.comm,
         })
     }
 }

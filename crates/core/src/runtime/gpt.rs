@@ -811,6 +811,32 @@ impl GptModel {
         n
     }
 
+    /// [`GptModel::param_count`] of `cfg`'s architecture, computed
+    /// without building it: `None` when it overflows `usize` or `cfg` has
+    /// no heads.
+    pub(crate) fn param_count_of(cfg: &ModelConfig) -> Option<usize> {
+        let sum = |parts: &[Option<usize>]| {
+            parts
+                .iter()
+                .try_fold(0usize, |acc, p| acc.checked_add((*p)?))
+        };
+        let bias = matches!(cfg.family, Family::Gpt);
+        let (h, f, vocab) = (cfg.hidden, cfg.ffn_hidden, cfg.vocab);
+        let linear = |i: usize, o: usize| i.checked_mul(o)?.checked_add(if bias { o } else { 0 });
+        let norm = if bias { h.checked_mul(2) } else { Some(h) };
+        let dh = h.checked_div(cfg.heads)?;
+        let q = cfg.heads.checked_mul(dh)?;
+        let kv = cfg.kv_heads.checked_mul(dh)?.checked_mul(2)?;
+        let mlp = match cfg.family {
+            Family::Gpt => sum(&[linear(h, f), linear(f, h)]),
+            Family::Llama => linear(h, f)?.checked_mul(3),
+        };
+        let block = sum(&[norm, linear(h, q), linear(h, kv), linear(q, h), norm, mlp]);
+        // the embedding and the bias-free output head are both vocab x h
+        let table = vocab.checked_mul(h);
+        sum(&[cfg.layers.checked_mul(block?), table, norm, table])
+    }
+
     /// Greedy next-token prediction for a prompt (used by examples).
     ///
     /// # Errors
@@ -1016,6 +1042,20 @@ mod tests {
         let cfg = tiny_llama();
         let model = GptModel::new(&cfg, 0);
         assert_eq!(model.param_count() as u64, cfg.param_count());
+    }
+
+    #[test]
+    fn param_count_of_matches_the_built_model_without_building_it() {
+        for cfg in [tiny(), tiny_llama(), ModelConfig::tiny(1, 48, 3, 40)] {
+            let built = GptModel::zeroed(&cfg).param_count();
+            assert_eq!(GptModel::param_count_of(&cfg), Some(built), "{}", cfg.name);
+        }
+        let mut huge = tiny();
+        huge.hidden = 1 << 40;
+        assert_eq!(GptModel::param_count_of(&huge), None, "overflows");
+        huge.hidden = 32;
+        huge.heads = 0;
+        assert_eq!(GptModel::param_count_of(&huge), None, "no heads");
     }
 
     #[test]

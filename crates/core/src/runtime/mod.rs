@@ -15,9 +15,9 @@
 //!   Figure 14: baseline and FPDT loss curves coincide.
 //! * [`options`] — [`RuntimeOptions`], the single builder behind every
 //!   runtime knob (offload, prefetch, comm stream, kernel threads).
-//! * [`ckpt`] — sharded, versioned checkpoint state: the
-//!   [`Checkpointable`](ckpt::Checkpointable) trait plus per-rank shard
-//!   files behind the resumable [`dist::Trainer`].
+//! * [`ckpt`] — sharded, versioned checkpoint state: the typed shard
+//!   codec ([`CkptMeta`](ckpt::CkptMeta), [`read_checkpoint`](ckpt::read_checkpoint))
+//!   plus per-rank shard files behind the resumable [`dist::Trainer`].
 //! * [`autotune`] — trace-calibrated autotuning: probe a short run,
 //!   fit the simulator's cost constants from its spans, and search the
 //!   knob space for the predicted-fastest configuration.
@@ -32,6 +32,6 @@ pub mod options;
 pub mod schedule;
 
 pub use autotune::{autotune, AutotuneOutcome, Calibration, CandidateConfig, Workload};
-pub use ckpt::{Checkpointable, CkptError, StateDict, StateValue};
+pub use ckpt::{CkptError, StateDict, StateValue};
 pub use dist::{train, train_traced, Mode, TrainConfig, TrainError, TrainReport, Trainer};
 pub use options::RuntimeOptions;

@@ -55,7 +55,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "unchecked-ckpt-io",
-        what: "checkpoint I/O results (write_shard, read_shard, checkpoint, load_state_dict, ...) must not be discarded via `let _ =` or `.ok()` — a silently dropped CkptError means a resume from half-written state",
+        what: "checkpoint I/O results (write_shard, read_shard, checkpoint, read_checkpoint, resume, ...) must not be discarded via `let _ =` or `.ok()` — a silently dropped CkptError means a resume from half-written state",
     },
     RuleInfo {
         name: "malformed-suppression",
@@ -135,7 +135,8 @@ const CKPT_IO_IDENTS: &[&str] = &[
     "shard_paths",
     "checkpoint",
     "checkpoint_default",
-    "load_state_dict",
+    "read_checkpoint",
+    "resume",
     "create_dir_all",
     "sync_all",
     "rename",

@@ -240,6 +240,20 @@ fn ok_erased_ckpt_read_fires() {
 }
 
 #[test]
+fn discarded_ckpt_decode_fires() {
+    let src = r#"
+        pub fn probe(dir: &Path) -> bool {
+            let _ = Trainer::resume(dir);
+            read_checkpoint(dir).ok().is_some()
+        }
+    "#;
+    assert_eq!(
+        rules_fired("src/bin/fpdt-ckpt.rs", src),
+        ["unchecked-ckpt-io", "unchecked-ckpt-io"]
+    );
+}
+
+#[test]
 fn propagated_ckpt_io_is_allowed() {
     let src = r#"
         pub fn save(dir: &Path, d: &StateDict) -> Result<(), CkptError> {
